@@ -4,7 +4,7 @@ Subcommands: geodesic | transport | broken | reconstruct | interaction |
 verify-all | run. Each loads a scenario JSON (defaults are built in),
 runs the experiment(s), writes a JSON report plus a residuals CSV, and
 exits 0 only if every enabled check passes (1 on a failed check, 2 on a
-schema or usage error).
+schema or usage error, or a query the scenario's metric does not support).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .config import DEFAULT_SCENARIO, Fixture, ScenarioError, load_scenario, validate_scenario
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, CapabilityError
 from .gauge import gauge_act
 from .geometry import (
     Cylinder,
@@ -56,6 +56,7 @@ from .transport import (
     inverse_transport,
     parallel_transport,
     run_batch,
+    validate_query,
     write_results,
 )
 
@@ -179,8 +180,6 @@ def _admissible_queries(fx, count, cache):
             continue
         q = BrokenRayQuery(y, v, w, valid[len(valid) // 2], s_out)
         try:
-            from .transport import validate_query
-
             validate_query(m, q, obs, cache=cache)
         except AdmissibilityError:
             continue
@@ -414,8 +413,12 @@ def main(argv=None):
         experiments = list(EXPERIMENTS)
     else:  # run: whatever the scenario enables
         experiments = scenario.get("experiments", list(EXPERIMENTS))
-    report = run_scenario(scenario, experiments, args.out, seed=args.seed,
-                          threads=args.threads, strict=args.strict)
+    try:
+        report = run_scenario(scenario, experiments, args.out, seed=args.seed,
+                              threads=args.threads, strict=args.strict)
+    except CapabilityError as exc:
+        print(f"unsupported by this metric: {exc}", file=sys.stderr)
+        return 2
     failed = [
         c["name"]
         for r in report["results"].values()

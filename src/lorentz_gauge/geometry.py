@@ -6,6 +6,14 @@ interpolation, time separation, null cut times, earliest observation
 times along worldlines, and null-geodesic connection by multi-start
 shooting.
 
+Causal structure comes from closed forms on the metric classes: tau
+from the coordinate difference, with the cylinder's angle wrapped to the
+nearest winding and conformal time in place of t on the warped product;
+null cut times inf on Minkowski, pi/|v^0| on the cylinder and inf on the
+time-only warped product with flat spatial factor. Those three metrics
+are the ones that support causal queries; any other raises
+CapabilityError.
+
 Conventions: signature (-, +, ..., +); coordinate 0 is time; a tangent
 vector v is future-pointing when v[0] > 0.
 """
@@ -30,7 +38,12 @@ TWO_PI = 2.0 * math.pi
 
 
 class Metric:
-    """Base class: a Lorentzian metric on a coordinate chart of R^dim."""
+    """Base class: a Lorentzian metric on a coordinate chart of R^dim.
+
+    Causal queries (``time_separation``, ``null_cut_time``) are available
+    only where the metric knows its causal structure in closed form;
+    elsewhere they raise CapabilityError.
+    """
 
     dim: int
     name: str = "metric"
@@ -50,13 +63,19 @@ class Metric:
     def in_chart(self, x):
         return True
 
-    def wrap(self, x):
-        """Map x to the canonical chart representative (identity by default)."""
-        return np.asarray(x, dtype=float)
-
     def coord_delta(self, a, b):
         """Chart-aware coordinate difference a - b (wrapped for periodic charts)."""
         return np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+
+    # -- causal structure ----------------------------------------------------
+
+    def time_separation(self, x, y):
+        """tau(x, y) over the leading axes of the point arrays x and y."""
+        raise CapabilityError(f"time separation not implemented for {self.name}")
+
+    def null_cut_time(self, x, v):
+        """Null cut time of gamma_{x,v} (inf if it has no cut point)."""
+        raise CapabilityError(f"null cut time not implemented for {self.name}")
 
     # -- derived quantities --------------------------------------------------
 
@@ -95,10 +114,30 @@ class Metric:
         return x
 
 
-class Minkowski(Metric):
-    """Flat Minkowski space R^{1,dim-1}."""
+class _FlatMetric(Metric):
+    """Constant metric diag(-1, 1, ..., 1): straight geodesics, tau from coord_delta."""
 
     is_flat = True
+    _g: np.ndarray
+
+    def matrix(self, x):
+        return self._g
+
+    def inverse(self, x):
+        return self._g
+
+    def partials(self, x):
+        return np.zeros((self.dim,) * 3)
+
+    def christoffel(self, x):
+        return np.zeros((self.dim,) * 3)
+
+    def time_separation(self, x, y):
+        return _tau(self.coord_delta(y, x))
+
+
+class Minkowski(_FlatMetric):
+    """Flat Minkowski space R^{1,dim-1}: null geodesics have no cut points."""
 
     def __init__(self, dim=4):
         if dim < 2:
@@ -107,49 +146,30 @@ class Minkowski(Metric):
         self.name = f"minkowski{self.dim}"
         self._g = np.diag([-1.0] + [1.0] * (self.dim - 1))
 
-    def matrix(self, x):
-        return self._g
-
-    def inverse(self, x):
-        return self._g
-
-    def partials(self, x):
-        return np.zeros((self.dim,) * 3)
-
-    def christoffel(self, x):
-        return np.zeros((self.dim,) * 3)
+    def null_cut_time(self, x, v):
+        return math.inf
 
 
-class Cylinder(Metric):
-    """Flat 1+1 cylinder R_t x S^1 with angle coordinate of period 2 pi."""
+class Cylinder(_FlatMetric):
+    """Flat 1+1 cylinder R_t x S^1 with angle coordinate of period 2 pi.
 
-    is_flat = True
+    The two null rays from a point meet again on the far side after a
+    time lapse of pi, so the cut time is pi / |v^0|.  The wrapped angle
+    difference of ``coord_delta`` is the nearest winding, which is the
+    one that maximizes tau.
+    """
+
     dim = 2
     name = "cylinder"
     _g = np.diag([-1.0, 1.0])
 
-    def matrix(self, x):
-        return self._g
-
-    def inverse(self, x):
-        return self._g
-
-    def partials(self, x):
-        return np.zeros((2, 2, 2))
-
-    def christoffel(self, x):
-        return np.zeros((2, 2, 2))
-
-    def wrap(self, x):
-        x = np.array(x, dtype=float)
-        x[..., 1] = np.mod(x[..., 1], TWO_PI)
-        return x
-
     def coord_delta(self, a, b):
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        d = np.array(d)
         d[..., 1] = np.mod(d[..., 1] + math.pi, TWO_PI) - math.pi
         return d
+
+    def null_cut_time(self, x, v):
+        return math.pi / abs(v[0])
 
 
 class WarpedProduct(Metric):
@@ -158,12 +178,14 @@ class WarpedProduct(Metric):
     ``beta`` is a positive scalar field (object with value/grad, e.g.
     ScalarExpansion); ``g0_diag`` is an optional list of dim-1 positive
     scalar fields for the diagonal spatial metric (identity if omitted).
-    ``beta_time_only`` declares that beta depends on t alone, which
-    enables the closed-form time separation via the conformal time
-    substitution.
+    ``beta_time_only`` declares that beta depends on t alone.  With that
+    and a flat spatial factor, conformal time t~ = int sqrt(beta) dt maps
+    the metric isometrically onto a Minkowski slab (O'Neill,
+    Semi-Riemannian Geometry, 1983), which gives tau in closed form and
+    no null cut points; other warped products support no causal queries.
     """
 
-    def __init__(self, dim, beta, g0_diag=None, beta_time_only=False, chart_bounds=None):
+    def __init__(self, dim, beta, g0_diag=None, beta_time_only=False):
         if dim < 2:
             raise DomainError("need at least one time and one space dimension")
         self.dim = int(dim)
@@ -173,13 +195,8 @@ class WarpedProduct(Metric):
         if self.g0_diag is not None and len(self.g0_diag) != self.dim - 1:
             raise DomainError("g0_diag must supply one field per spatial coordinate")
         self.beta_time_only = bool(beta_time_only)
-        self.chart_bounds = chart_bounds  # optional (lo, hi) arrays
 
     def in_chart(self, x):
-        if self.chart_bounds is not None:
-            lo, hi = self.chart_bounds
-            if np.any(x < lo) or np.any(x > hi):
-                return False
         return self._diag(x)[0] > 0
 
     def _diag(self, x):
@@ -208,6 +225,24 @@ class WarpedProduct(Metric):
             for i, f in enumerate(self.g0_diag):
                 d[:, i + 1, i + 1] = np.asarray(f.grad(x), dtype=float)
         return d
+
+    def _require_conformally_flat(self, query):
+        if not (self.beta_time_only and self.g0_diag is None):
+            raise CapabilityError(
+                f"{query} on warped products requires a time-only warping "
+                "function and flat spatial factor"
+            )
+
+    def time_separation(self, x, y):
+        self._require_conformally_flat("time separation")
+        conformal = np.vectorize(lambda t: _conformal_time(self, t), otypes=[float])
+        d = self.coord_delta(y, x)
+        d[..., 0] = conformal(np.asarray(y)[..., 0]) - conformal(np.asarray(x)[..., 0])
+        return _tau(d)
+
+    def null_cut_time(self, x, v):
+        self._require_conformally_flat("null cut time")
+        return math.inf
 
 
 def metric_from_json(obj):
@@ -464,44 +499,17 @@ def time_separation(metric, x, y):
     """Lorentzian time separation tau(x, y) (0 unless y is in the chronological future of x)."""
     x = metric.validate_point(x)
     y = metric.validate_point(y)
-    if isinstance(metric, Minkowski):
-        return _tau_flat(x, y)
-    if isinstance(metric, Cylinder):
-        # maximize over windings of the angle difference on the covering space
-        dt = y[0] - x[0]
-        if dt <= 0:
-            return 0.0
-        dth = y[1] - x[1]
-        kmax = int(abs(dth) / TWO_PI + abs(dt) / TWO_PI) + 2
-        best = 0.0
-        for k in range(-kmax, kmax + 1):
-            q = dt * dt - (dth + TWO_PI * k) ** 2
-            if q > 0:
-                best = max(best, math.sqrt(q))
-        return best
-    if isinstance(metric, WarpedProduct):
-        if metric.beta_time_only and metric.g0_diag is None:
-            # conformal time t~ = int sqrt(beta) maps to Minkowski up to a
-            # conformal factor; for beta depending on t only the warped
-            # metric is -beta dt^2 + dx^2 = isometric to -dt~^2 + dx^2.
-            xt = _conformal_time(metric, x[0])
-            yt = _conformal_time(metric, y[0])
-            return _tau_flat(
-                np.concatenate([[xt], x[1:]]), np.concatenate([[yt], y[1:]])
-            )
-        raise CapabilityError(
-            "time separation on warped products requires a time-only warping "
-            "function and flat spatial factor"
-        )
-    raise CapabilityError(f"time separation not implemented for {metric.name}")
+    return float(metric.time_separation(x, y))
 
 
-def _tau_flat(x, y):
-    dt = y[0] - x[0]
-    if dt <= 0:
-        return 0.0
-    q = dt * dt - float(np.sum((y[1:] - x[1:]) ** 2))
-    return math.sqrt(q) if q > 0 else 0.0
+def _tau(d):
+    """Flat tau from coordinate differences d = (dt, dx) over leading axes.
+
+    sqrt(dt^2 - |dx|^2) where dt > 0 and the radicand is positive, else 0.
+    """
+    dt = d[..., 0]
+    q = dt * dt - np.sum(d[..., 1:] ** 2, axis=-1)
+    return np.where((dt > 0) & (q > 0), np.sqrt(np.maximum(q, 0.0)), 0.0)
 
 
 def _conformal_time(metric, t):
@@ -514,14 +522,14 @@ def _conformal_time(metric, t):
     return val
 
 
-def null_cut_time(metric, x, v, s_max=None, tol=1e-6, coarse=512, h=1e-2):
+def null_cut_time(metric, x, v, s_max=None):
     """First parameter s > 0 at which gamma_{x,v}(s) and x become
     chronologically related, or inf.
 
     For future-pointing v this is the first s with tau(x, gamma(s)) > 0;
-    for past-pointing v, the first s with tau(gamma(s), x) > 0. Scans a
-    coarse grid along the null geodesic for the first sign change of the
-    chronology indicator and bisects it down to tol.
+    for past-pointing v, the first s with tau(gamma(s), x) > 0. The value
+    is the metric's closed form; a cut time beyond the horizon s_max is
+    reported as inf.
     """
     x = metric.validate_point(x)
     v = np.asarray(v, dtype=float)
@@ -529,37 +537,8 @@ def null_cut_time(metric, x, v, s_max=None, tol=1e-6, coarse=512, h=1e-2):
         raise DomainError("initial vector is not null")
     if v[0] == 0:
         raise DomainError("initial vector must be time-oriented")
-    if s_max is None:
-        s_max = 100.0 / max(abs(v[0]), 1e-12)
-    seg = integrate_geodesic(metric, x, v, s_max, h=max(h, s_max / 20000))
-
-    # floating-point noise can make tau ~1e-8 on the exactly-null ray
-    # itself; past the cut point tau grows like sqrt(s - s_cut), so a
-    # small absolute floor does not bias the bisection noticeably
-    def chronological(s):
-        floor = 1e-7 * (1.0 + abs(s))
-        if v[0] > 0:
-            return time_separation(metric, x, seg.position(s)) > floor
-        return time_separation(metric, seg.position(s), x) > floor
-
-    grid = np.linspace(0.0, seg.s_max, coarse + 1)
-    lo = 0.0
-    hit = None
-    for s in grid[1:]:
-        if chronological(float(s)):
-            hit = float(s)
-            break
-        lo = float(s)
-    if hit is None:
-        return math.inf
-    hi = hit
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if chronological(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    cut = metric.null_cut_time(x, v)
+    return cut if s_max is None or cut <= s_max else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -612,21 +591,21 @@ def earliest_obs_time(metric, line, y, direction="future", tol=1e-8, coarse=256)
     y = metric.validate_point(y)
     if direction == "future":
         def pred(s):
-            return time_separation(metric, y, line.position(s)) > 0
+            return metric.time_separation(y, line.position(s)) > 0
         empty_value, monotone_up = line.T, True
     elif direction == "past":
         def pred(s):
-            return time_separation(metric, line.position(s), y) > 0
+            return metric.time_separation(line.position(s), y) > 0
         empty_value, monotone_up = 0.0, False
     else:
         raise DomainError("direction must be 'future' or 'past'")
     grid = np.linspace(0.0, line.T, coarse + 1)
-    flags = [pred(float(s)) for s in grid]
+    flags = pred(grid)
+    if not flags.any():
+        return empty_value
     if monotone_up:
         # first True
-        if not any(flags):
-            return empty_value
-        i = flags.index(True)
+        i = int(np.argmax(flags))
         if i == 0:
             return 0.0
         lo, hi = float(grid[i - 1]), float(grid[i])
@@ -638,9 +617,7 @@ def earliest_obs_time(metric, line, y, direction="future", tol=1e-8, coarse=256)
                 lo = mid
         return 0.5 * (lo + hi)
     # last True
-    if not any(flags):
-        return empty_value
-    i = len(flags) - 1 - flags[::-1].index(True)
+    i = len(flags) - 1 - int(np.argmax(flags[::-1]))
     if i == len(flags) - 1:
         return line.T
     lo, hi = float(grid[i]), float(grid[i + 1])

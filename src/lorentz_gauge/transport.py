@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError
-from .geometry import integrate_geodesic, null_cut_time, time_separation
+from .geometry import integrate_geodesic, null_cut_time
 from .linalg import expm_skew, polar_project, unitarity_residual
 
 SQRT3 = math.sqrt(3.0)

@@ -138,6 +138,18 @@ def test_invalid_json_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_unsupported_capability_exit_two(tmp_path, capsys):
+    # null cut times need a time-only warp; without it the query is a usage error
+    metric = {"kind": "warped", "dim": 3, "beta_time_only": False,
+              "beta": {"dim": 3, "constant": 1.0,
+                       "waves": [{"amp": 0.3, "freq": [0.5, 0.2, 0], "phase": 0}]}}
+    code, _ = run(tmp_path, "broken", extra={"metric": metric})
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "null cut time" in err and "time-only warping function" in err
+
+
 def test_negative_control_exit_one(tmp_path, capsys):
     code, out = run(
         tmp_path, "reconstruct", extra={"reconstruct": {"negative_control": True}}

@@ -5,9 +5,11 @@ import pytest
 
 from lorentz_gauge.errors import CapabilityError, DomainError
 from lorentz_gauge.expansions import ScalarExpansion
+from lorentz_gauge.gauge import random_connection
 from lorentz_gauge.geometry import (
     Cylinder,
     Minkowski,
+    ObservationSet,
     WarpedProduct,
     WorldLine,
     connect_null,
@@ -18,6 +20,7 @@ from lorentz_gauge.geometry import (
     time_separation,
     unit_directions,
 )
+from lorentz_gauge.transport import BrokenRayQuery, broken_transform
 
 
 class ExpBeta:
@@ -36,6 +39,12 @@ class ExpBeta:
 
 def warped():
     return WarpedProduct(2, ExpBeta(), beta_time_only=True)
+
+
+def warped_cosine():
+    """Time-only warp beta = 1 + 0.3 cos(t/2) in 2+1, flat spatial factor."""
+    beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
+    return WarpedProduct(3, beta, beta_time_only=True)
 
 
 # -- metric basics ----------------------------------------------------------
@@ -210,8 +219,93 @@ def test_null_cut_time_minkowski_infinite():
 def test_null_cut_time_cylinder_pi():
     c = Cylinder()
     v = null_vector(c, np.zeros(2), np.array([1.0]))
-    ct = null_cut_time(c, np.zeros(2), v, s_max=10.0, tol=1e-7)
-    assert ct == pytest.approx(math.pi, abs=1e-3)
+    ct = null_cut_time(c, np.zeros(2), v, s_max=10.0)
+    assert ct == pytest.approx(math.pi, abs=1e-12)
+    # the cut lies beyond a shorter horizon
+    assert null_cut_time(c, np.zeros(2), v, s_max=3.0) == math.inf
+
+
+def test_null_cut_time_warped_time_only_infinite():
+    # isometric to a Minkowski slab through conformal time: no cut points
+    m = warped_cosine()
+    y = np.array([3.0, 0.2, 0.1])
+    for sign in (1.0, -1.0):
+        v = null_vector(m, y, np.array([1.0, 0.0]), time_sign=sign)
+        assert null_cut_time(m, y, v) == math.inf
+
+
+def test_null_cut_time_warped_capability():
+    m = WarpedProduct(2, ExpBeta(), beta_time_only=False)
+    v = null_vector(m, np.zeros(2), np.array([1.0]))
+    with pytest.raises(CapabilityError):
+        null_cut_time(m, np.zeros(2), v)
+
+
+def test_validated_warped_query_matches_unvalidated():
+    m = warped_cosine()
+    conn = random_connection(3, 2, np.random.default_rng(3), amplitude=0.5)
+    y = np.array([3.0, 0.2, 0.1])
+    v = null_vector(m, y, np.array([1.0, 0.0]), time_sign=-1.0)
+    w = null_vector(m, y, np.array([0.0, 1.0]))
+    q = BrokenRayQuery(y, v, w, 0.5, 0.6)
+    obs = ObservationSet(m, T=6.0, radius=2.0)
+    checked = broken_transform(m, conn, q, observation=obs)
+    unchecked = broken_transform(m, conn, q, validate=False)
+    assert np.array_equal(checked, unchecked)
+
+
+def _tau_reference(metric, x, y):
+    """The scalar formulas: flat tau, the cylinder's maximum over windings."""
+    dt = y[0] - x[0]
+    if dt <= 0:
+        return 0.0
+    if isinstance(metric, Cylinder):
+        dth = y[1] - x[1]
+        kmax = int(abs(dth) / (2 * math.pi) + abs(dt) / (2 * math.pi)) + 2
+        best = 0.0
+        for k in range(-kmax, kmax + 1):
+            q = dt * dt - (dth + 2 * math.pi * k) ** 2
+            if q > 0:
+                best = max(best, math.sqrt(q))
+        return best
+    q = dt * dt - float(np.sum((y[1:] - x[1:]) ** 2))
+    return math.sqrt(q) if q > 0 else 0.0
+
+
+@pytest.mark.parametrize("metric, t_span, x_span", [
+    (Minkowski(3), 8.0, 1.5),
+    (Minkowski(4), 8.0, 1.5),
+    (Cylinder(), 30.0, 40.0),  # pairs up to several windings apart
+])
+def test_batched_time_separation_matches_scalar_reference(rng, metric, t_span, x_span):
+    n = 2000
+    x = np.concatenate([rng.uniform(0, t_span, (n, 1)),
+                        rng.uniform(-x_span, x_span, (n, metric.dim - 1))], axis=1)
+    y = np.concatenate([rng.uniform(0, t_span, (n, 1)),
+                        rng.uniform(-x_span, x_span, (n, metric.dim - 1))], axis=1)
+    tau = metric.time_separation(x, y)
+    ref = np.array([_tau_reference(metric, a, b) for a, b in zip(x, y)])
+    assert tau.shape == (n,)
+    assert 0.2 * n < np.count_nonzero(ref) < 0.8 * n
+    assert np.array_equal(tau > 0, ref > 0)
+    assert np.max(np.abs(tau - ref)) < 1e-12
+    # the public scalar function agrees with the batched method
+    for a, b, r in zip(x[:50], y[:50], ref[:50]):
+        assert abs(time_separation(metric, a, b) - r) < 1e-12
+
+
+def test_batched_time_separation_warped_conformal(rng):
+    # [DERIVED] beta = e^{2t}: conformal time e^t - 1
+    m = warped()
+    n = 200
+    x = rng.uniform(-1, 1, (n, 2))
+    y = rng.uniform(-1, 1, (n, 2))
+    dt = np.exp(y[:, 0]) - np.exp(x[:, 0])
+    q = dt * dt - (y[:, 1] - x[:, 1]) ** 2
+    ref = np.where((dt > 0) & (q > 0), np.sqrt(np.maximum(q, 0)), 0.0)
+    tau = m.time_separation(x, y)
+    assert np.array_equal(tau > 0, ref > 0)
+    assert np.max(np.abs(tau - ref)) < 1e-12
 
 
 def test_null_cut_time_rejects_non_null():
