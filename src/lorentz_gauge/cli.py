@@ -54,6 +54,7 @@ from .transport import (
     check_reversal,
     determinant_track_residual,
     inverse_transport,
+    matrix_from_json,
     parallel_transport,
     run_batch,
     validate_query,
@@ -92,7 +93,7 @@ def _random_null_geodesic(fx, s_max, h):
 # ---------------------------------------------------------------------------
 
 
-def run_geodesic(fx, params, out_dir, threads, strict):
+def run_geodesic(fx, params, out_dir, strict):
     checks = []
     s_max, h = float(params["s_max"]), float(params["h"])
     worst_null = 0.0
@@ -117,7 +118,7 @@ def run_geodesic(fx, params, out_dir, threads, strict):
     return {"checks": checks, **extra}
 
 
-def run_transport(fx, params, out_dir, threads, strict):
+def run_transport(fx, params, out_dir, strict):
     checks = []
     h = float(params["h"])
     s_max = float(params["s_max"])
@@ -187,7 +188,7 @@ def _admissible_queries(fx, count, cache):
     return queries
 
 
-def run_broken(fx, params, out_dir, threads, strict):
+def run_broken(fx, params, out_dir, strict):
     checks = []
     h = float(params["h"])
     conn = fx.connection()
@@ -197,8 +198,7 @@ def run_broken(fx, params, out_dir, threads, strict):
     queries = _admissible_queries(fx, int(params["n_queries"]), cache)
     _check(checks, "broken_query_yield",
            float(int(params["n_queries"]) - len(queries)), 0.5)
-    records = run_batch(fx.metric, conn, queries, observation=fx.observation,
-                        h=h, threads=threads)
+    records = run_batch(fx.metric, conn, queries, observation=fx.observation, h=h)
     with open(os.path.join(out_dir, "queries.jsonl"), "w") as fh:
         for q in queries:
             fh.write(json.dumps(q.to_json(), sort_keys=True) + "\n")
@@ -207,18 +207,17 @@ def run_broken(fx, params, out_dir, threads, strict):
                      default=0.0)
     _check(checks, "broken_unitarity", worst_unit, 1e-10)
     worst_inv = 0.0
-    for q in queries:
-        sa = broken_transform(fx.metric, conn, q, observation=fx.observation,
-                              cache=cache, h=h)
+    for q, rec in zip(queries, records):
         sb = broken_transform(fx.metric, conn_b, q, observation=fx.observation,
                               cache=cache, h=h)
+        sa = matrix_from_json(rec["matrix"])
         worst_inv = max(worst_inv, float(np.linalg.norm(sa - sb)))
     _check(checks, "broken_gauge_invariance", worst_inv,
            float(params["tol_gauge_invariance"]))
     return {"checks": checks, "n_queries": len(queries)}
 
 
-def run_reconstruct(fx, params, out_dir, threads, strict):
+def run_reconstruct(fx, params, out_dir, strict):
     checks = []
     conn = fx.connection()
     negative = bool(params.get("negative_control", False))
@@ -262,7 +261,7 @@ def run_reconstruct(fx, params, out_dir, threads, strict):
             "extraction_modes": sorted(set(rec.mode))}
 
 
-def run_interaction(fx, params, out_dir, threads, strict):
+def run_interaction(fx, params, out_dir, strict):
     checks = []
     amp = float(params.get("amplitude", 0.1))
     conn = fx.connection(amplitude=amp)
@@ -336,7 +335,7 @@ SEED_OFFSETS = {name: 1000 * i for i, name in enumerate(EXPERIMENTS)}
 # ---------------------------------------------------------------------------
 
 
-def run_scenario(scenario, experiments, out_dir, seed=None, threads=1, strict=False):
+def run_scenario(scenario, experiments, out_dir, seed=None, strict=False):
     os.makedirs(out_dir, exist_ok=True)
     base_seed = int(seed if seed is not None else scenario["seed"])
     results = {}
@@ -346,7 +345,7 @@ def run_scenario(scenario, experiments, out_dir, seed=None, threads=1, strict=Fa
         params = scenario.get(name, {})
         log.info("running experiment %s (seed %d)", name, fx.seed)
         t0 = time.perf_counter()
-        results[name] = RUNNERS[name](fx, params, out_dir, threads, strict)
+        results[name] = RUNNERS[name](fx, params, out_dir, strict)
         timings[name] = round(time.perf_counter() - t0, 3)
     all_checks = [c for r in results.values() for c in r["checks"]]
     passed = all(c["pass"] for c in all_checks)
@@ -390,7 +389,6 @@ def build_parser():
         p.add_argument("--config", help="scenario JSON (built-in defaults if omitted)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--strict", action="store_true",
                        help="fail on any unresolved grid point")
     return parser
@@ -415,7 +413,7 @@ def main(argv=None):
         experiments = scenario.get("experiments", list(EXPERIMENTS))
     try:
         report = run_scenario(scenario, experiments, args.out, seed=args.seed,
-                              threads=args.threads, strict=args.strict)
+                              strict=args.strict)
     except CapabilityError as exc:
         print(f"unsupported by this metric: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,13 @@ import numpy as np
 
 from .errors import DomainError, IntegrityError
 from .expansions import ScalarExpansion
-from .linalg import dexpm_skew, expm_skew, random_skew_hermitian, skew_residual
+from .linalg import (
+    adjoint,
+    expm_frechet_skew,
+    expm_skew,
+    random_skew_hermitian,
+    skew_residual,
+)
 
 
 class MatrixExpansion:
@@ -211,19 +217,25 @@ class GaugeField:
         return expm_skew(self.log(x))
 
     def inverse_value(self, x):
-        u = self.value(x)
-        return np.conj(np.swapaxes(u, -1, -2))
+        return adjoint(self.value(x))
+
+    def value_and_derivative(self, x, v):
+        """phi(x) and its derivative d phi(x)[v] along v, from one decomposition.
+
+        Batched over matching leading axes of x and v.
+        """
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        chi = np.asarray(self.cutoff.value(x))[..., None, None]
+        dchi_v = np.einsum("...i,...i->...", v, self.cutoff.grad(x))[..., None, None]
+        psi = self.generator.value(x)
+        dpsi_v = np.einsum("...i,...ijk->...jk", v, self.generator.grad(x))
+        return expm_frechet_skew(chi * psi, chi * dpsi_v + dchi_v * psi)
 
     def differential(self, x):
-        """d_k phi (x), shape (..., dim, n, n)."""
+        """d_k phi (x), shape (..., dim, n, n): the derivatives along the coordinate axes."""
         x = np.asarray(x, dtype=float)
-        chi = np.asarray(self.cutoff.value(x))
-        dchi = np.asarray(self.cutoff.grad(x))
-        psi = self.generator.value(x)
-        dpsi = self.generator.grad(x)
-        log = chi[..., None, None] * psi
-        dlog = chi[..., None, None, None] * dpsi + dchi[..., :, None, None] * psi[..., None, :, :]
-        return dexpm_skew(np.broadcast_to(log[..., None, :, :], dlog.shape), dlog)
+        return self.value_and_derivative(x[..., None, :], np.eye(self.dim))[1]
 
     def inverse(self):
         neg = MatrixExpansion(
@@ -263,25 +275,20 @@ class GaugedConnection:
         self.n = base.n
 
     def pairing(self, x, v):
+        """<A <| phi, v> = phi^H (d phi[v] + <A, v> phi)."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        u = self.phi.value(x)
-        dphi = self.phi.differential(x)
-        dphi_v = np.einsum("...i,...ijk->...jk", v, dphi)
-        a = self.base.pairing(x, v)
-        rhs = dphi_v + a @ u
-        return np.linalg.solve(u, rhs)
+        u, dphi_v = self.phi.value_and_derivative(x, v)
+        return adjoint(u) @ (dphi_v + self.base.pairing(x, v) @ u)
 
     def pairing_batch(self, xs, vs):
         return self.pairing(np.asarray(xs, dtype=float), np.asarray(vs, dtype=float))
 
     def components(self, x):
         x = np.asarray(x, dtype=float)
-        u = self.phi.value(x)
+        u = self.phi.value(x)[..., None, :, :]
         dphi = self.phi.differential(x)
-        a = self.base.components(x)
-        rhs = dphi + a @ u[..., None, :, :]
-        return np.linalg.solve(u[..., None, :, :], rhs)
+        return adjoint(u) @ (dphi + self.base.components(x) @ u)
 
 
 def gauge_act(connection, phi):

@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import DomainError, GeometryError
 from .geometry import GeodesicSegment, integrate_geodesic, null_vector, time_separation
-from .linalg import expm_skew, polar_project
-from .transport import _A1, _A2, _C1, _C2, BrokenRayQuery, parallel_transport
+from .transport import BrokenRayQuery, _cf4_product, _stage_params, parallel_transport
 
 # ---------------------------------------------------------------------------
 # bicharacteristics
@@ -200,34 +199,23 @@ def transport_symbol(metric, connection, bichar, sigma0, s, omega_spec=None, h=1
     """Transport a symbol along the bicharacteristic: the ODE route.
 
     Solves c' = (K(s) - f(s) I) c with K the skew-Hermitian transport
-    generator and f the volume divergence, using the same
-    commutator-free scheme as parallel_transport (the scalar part
-    commutes with everything, so exp splits exactly).
+    generator and f the volume divergence, with the CF4 engine of
+    parallel_transport at the same Gauss nodes. The scalar part
+    commutes with everything, so it splits off exactly as one factor.
     """
     if omega_spec is None:
         omega_spec = FlatDensity()
-    seg = bichar.to_segment()
-    span = s - 0.0
-    if span == 0:
+    if s == 0:
         return SymbolState(sigma0.value.copy(), sigma0.degree)
-    m = max(1, int(math.ceil(abs(span) / h)))
-    hs = span / m
-    steps = hs * np.arange(m)
-    params = np.concatenate([steps + _C1 * hs, steps + _C2 * hs])
-    xs, vs = seg.state(params)
-    k = -connection.pairing_batch(xs, vs)
+    params, hs = _stage_params(0.0, s, h)
+    xs, vs = bichar.to_segment().state(params)
+    k1, k2 = np.split(-connection.pairing_batch(xs, vs), 2)
     xis = np.stack([metric.matrix(x) @ v for x, v in zip(xs, vs)])
     f = np.array([omega_spec.divergence(x, xi) for x, xi in zip(xs, xis)])
-    k1, k2 = k[:m], k[m:]
-    f1, f2 = f[:m], f[m:]
-    first = expm_skew(hs * (_A1 * k1 + _A2 * k2))
-    second = expm_skew(hs * (_A2 * k1 + _A1 * k2))
-    sc_first = np.exp(-hs * (_A1 * f1 + _A2 * f2))
-    sc_second = np.exp(-hs * (_A2 * f1 + _A1 * f2))
-    c = sigma0.value.copy()
-    for i in range(m):
-        c = sc_second[i] * sc_first[i] * (second[i] @ (first[i] @ c))
-    return SymbolState(c, sigma0.degree)
+    # the CF4 weights of each step sum to 1/2 per node, so the scalar
+    # factors multiply to one exponential of the Gauss-node sum
+    scalar = math.exp(-0.5 * hs * float(np.sum(f)))
+    return SymbolState(scalar * (_cf4_product(k1, k2, hs) @ sigma0.value), sigma0.degree)
 
 
 def transport_symbol_reference(metric, connection, bichar, sigma0, s, omega_spec=None, h=1e-3):

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,31 +27,45 @@ _A1 = 0.25 + SQRT3 / 6.0
 _A2 = 0.25 - SQRT3 / 6.0
 
 
+def _stage_params(a, b, h):
+    """Gauss nodes of the CF4 steps over [a, b]: all first nodes, then all second.
+
+    Returns the 2m parameters and the signed step size hs.
+    """
+    span = b - a
+    m = max(1, int(math.ceil(abs(span) / h)))
+    hs = span / m
+    steps = a + hs * np.arange(m)
+    return np.concatenate([steps + _C1 * hs, steps + _C2 * hs]), hs
+
+
 def _stage_generators(connection, segment, a, b, h):
     """CF4 stage generators K = -<A, gamma'> at the Gauss nodes of each step.
 
     Returns (k1, k2, hs) with k1, k2 of shape (m, n, n) and the signed
     step size hs.
     """
-    span = b - a
-    m = max(1, int(math.ceil(abs(span) / h)))
-    hs = span / m
-    steps = a + hs * np.arange(m)
-    params = np.concatenate([steps + _C1 * hs, steps + _C2 * hs])
+    params, hs = _stage_params(a, b, h)
     xs, vs = segment.state(params)
-    k = -connection.pairing_batch(xs, vs)
-    return k[:m], k[m:], hs
+    k1, k2 = np.split(-connection.pairing_batch(xs, vs), 2)
+    return k1, k2, hs
 
 
 def _cf4_product(k1, k2, hs):
-    """Ordered product of the CF4 two-exponential steps, left to right in time."""
-    first = expm_skew(hs * (_A1 * k1 + _A2 * k2))
-    second = expm_skew(hs * (_A2 * k1 + _A1 * k2))
-    n = k1.shape[-1]
-    u = np.eye(n, dtype=complex)
-    for i in range(len(k1)):
-        u = second[i] @ (first[i] @ u)
-    return polar_project(u)
+    """Ordered product of the CF4 two-exponential steps, later steps on the left.
+
+    The exponentials are stacked in time order [first_0, second_0,
+    first_1, ...] and multiplied pairwise, level by level, each pair as
+    later @ earlier; an odd level is padded with I at the end.
+    """
+    gens = np.stack([_A1 * k1 + _A2 * k2, _A2 * k1 + _A1 * k2], axis=1)
+    u = expm_skew(hs * gens.reshape((-1,) + k1.shape[1:]))
+    eye = np.eye(k1.shape[-1], dtype=complex)[None]
+    while len(u) > 1:
+        if len(u) % 2:
+            u = np.concatenate([u, eye])
+        u = u[1::2] @ u[::2]
+    return polar_project(u[0])
 
 
 def _check_range(segment, *params):
@@ -120,8 +132,9 @@ def check_reversal(metric, connection, y, v, s0, h=1e-3, h_geo=None):
 
 def determinant_track_residual(metric, connection, segment, a, b, h=1e-3):
     """|det P - exp(-integral tr<A, gamma'>)|: the abelian reduction of transport."""
-    p = parallel_transport(metric, connection, segment, a, b, h=h)
+    _check_range(segment, a, b)
     k1, k2, hs = _stage_generators(connection, segment, a, b, h)
+    p = _cf4_product(k1, k2, hs)
     # two-point Gauss quadrature of the trace, exact to the same order
     tr = np.trace(k1, axis1=-2, axis2=-1) + np.trace(k2, axis1=-2, axis2=-1)
     integral = 0.5 * hs * np.sum(tr)
@@ -134,14 +147,13 @@ def determinant_track_residual(metric, connection, segment, a, b, h=1e-3):
 
 
 class CutTimeCache:
-    """Thread-safe memo table for null cut times keyed by (point, direction) buckets."""
+    """Memo table for null cut times keyed by (point, direction) buckets."""
 
     def __init__(self, metric, s_max=None, decimals=9):
         self.metric = metric
         self.s_max = s_max
         self.decimals = decimals
         self._table = {}
-        self._lock = threading.Lock()
 
     def _key(self, x, v):
         v = np.asarray(v, dtype=float)
@@ -153,13 +165,8 @@ class CutTimeCache:
 
     def cut_time(self, x, v):
         key = self._key(x, v)
-        with self._lock:
-            if key in self._table:
-                return self._table[key]
-        value = null_cut_time(self.metric, x, v, s_max=self.s_max)
-        with self._lock:
-            # idempotent insert: a concurrent duplicate computes the same value
-            self._table.setdefault(key, value)
+        if key not in self._table:
+            self._table[key] = null_cut_time(self.metric, x, v, s_max=self.s_max)
         return self._table[key]
 
     def __len__(self):
@@ -278,31 +285,27 @@ def matrix_from_json(obj):
     return (np.asarray(obj["re"]) + 1j * np.asarray(obj["im"])).reshape(n, n)
 
 
-def run_batch(metric, connection, queries, observation=None, h=1e-3, threads=1):
-    """Evaluate the broken transform on many queries, optionally in parallel.
+def run_batch(metric, connection, queries, observation=None, h=1e-3):
+    """Evaluate the broken transform on many queries.
 
     Returns one record per query: the flattened matrix and its unitarity
     residual, or the named admissibility failure.
     """
     cache = CutTimeCache(metric)
-
-    def one(q):
+    records = []
+    for q in queries:
         rec = q.to_json()
+        records.append(rec)
         try:
             u = broken_transform(metric, connection, q, observation=observation, cache=cache, h=h)
         except AdmissibilityError as exc:
             rec["status"] = "inadmissible"
             rec["error"] = str(exc)
-            return rec
+            continue
         rec["status"] = "ok"
         rec["matrix"] = matrix_to_json(u)
         rec["unitarity_residual"] = float(unitarity_residual(u))
-        return rec
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, queries))
-    return [one(q) for q in queries]
+    return records
 
 
 def write_results(path, records):

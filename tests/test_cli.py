@@ -63,7 +63,7 @@ def test_transport_checks_present(tmp_path):
 
 
 def test_broken_writes_jsonl(tmp_path):
-    code, out = run(tmp_path, "broken", flags=["--threads", "2"])
+    code, out = run(tmp_path, "broken")
     assert code == 0
     queries = read_queries(out / "queries.jsonl")
     assert len(queries) == 5
@@ -82,7 +82,7 @@ def test_reconstruct_strict(tmp_path):
 
 
 def test_verify_all_runs_everything(tmp_path):
-    code, out = run(tmp_path, "verify-all", flags=["--threads", "2"])
+    code, out = run(tmp_path, "verify-all")
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert set(report["results"]) == {
@@ -129,6 +129,13 @@ def test_unknown_key_exit_two(tmp_path, capsys):
     code, _ = run(tmp_path, "geodesic", extra={"plotting": True})
     assert code == 2
     assert "plotting" in capsys.readouterr().err
+
+
+def test_threads_flag_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["broken", "--out", str(tmp_path / "o"), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_invalid_json_exit_two(tmp_path, capsys):

@@ -14,7 +14,7 @@ from lorentz_gauge.gauge import (
     random_gauge,
 )
 from lorentz_gauge.geometry import Minkowski, ObservationSet
-from lorentz_gauge.linalg import skew_residual, unitarity_residual
+from lorentz_gauge.linalg import dexpm_skew, skew_residual, unitarity_residual
 
 DIM, N = 3, 2
 
@@ -174,3 +174,33 @@ def test_gauged_connection_batch(rng):
 def test_zero_connection():
     a = ConnectionField.zero(DIM, N)
     assert np.all(a.pairing(np.zeros(DIM), np.ones(DIM)) == 0)
+
+
+def _differential_per_direction(phi, x):
+    """d_k phi from one Frechet derivative per coordinate direction."""
+    chi = phi.cutoff.value(x)
+    dchi = phi.cutoff.grad(x)
+    psi = phi.generator.value(x)
+    dpsi = phi.generator.grad(x)
+    log = chi[..., None, None] * psi
+    dlog = chi[..., None, None, None] * dpsi + dchi[..., :, None, None] * psi[..., None, :, :]
+    return dexpm_skew(np.broadcast_to(log[..., None, :, :], dlog.shape), dlog)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gauged_connection_matches_solve_formula(rng, n):
+    obs = ObservationSet(Minkowski(DIM), T=6.0, radius=1.0)
+    a = random_connection(DIM, n, rng)
+    phi = random_gauge(DIM, n, rng, observation=obs)
+    b = gauge_act(a, phi)
+    # spatial radii from 0 to 2.8 cover phi = I, the cutoff ramp and chi = 1
+    xs = rng.uniform(-2, 2, (12, DIM))
+    vs = rng.standard_normal((12, DIM))
+    u = phi.value(xs)
+    dphi = _differential_per_direction(phi, xs)
+    assert np.max(np.abs(phi.differential(xs) - dphi)) < 1e-12
+    dphi_v = np.einsum("...i,...ijk->...jk", vs, dphi)
+    pairing = np.linalg.solve(u, dphi_v + a.pairing(xs, vs) @ u)
+    assert np.max(np.abs(b.pairing(xs, vs) - pairing)) < 1e-12
+    comps = np.linalg.solve(u[:, None], dphi + a.components(xs) @ u[:, None])
+    assert np.max(np.abs(b.components(xs) - comps)) < 1e-12
