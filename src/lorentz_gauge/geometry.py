@@ -366,8 +366,12 @@ def _geodesic_rhs(metric, x, v):
     return v, -np.einsum("ijk,j,k->i", gam, v, v)
 
 
-def _rk4_march(metric, x0, v0, s_stop, n_steps):
-    """Fixed-step RK4 from parameter 0 to s_stop (sign of s_stop sets direction)."""
+def _rk4_march(metric, rhs, x0, v0, s_stop, n_steps):
+    """Fixed-step RK4 of (x, v)' = rhs(metric, x, v) from parameter 0 to s_stop.
+
+    The sign of s_stop sets the direction; the march stops early when x
+    leaves the chart.
+    """
     h = s_stop / n_steps
     xs = np.empty((n_steps + 1, metric.dim))
     vs = np.empty((n_steps + 1, metric.dim))
@@ -376,10 +380,10 @@ def _rk4_march(metric, x0, v0, s_stop, n_steps):
     truncated = False
     count = n_steps
     for i in range(n_steps):
-        k1x, k1v = _geodesic_rhs(metric, x, v)
-        k2x, k2v = _geodesic_rhs(metric, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = _geodesic_rhs(metric, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = _geodesic_rhs(metric, x + h * k3x, v + h * k3v)
+        k1x, k1v = rhs(metric, x, v)
+        k2x, k2v = rhs(metric, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+        k3x, k3v = rhs(metric, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+        k4x, k4v = rhs(metric, x + h * k3x, v + h * k3v)
         x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         if not (np.all(np.isfinite(x)) and metric.in_chart(x)):
@@ -415,7 +419,7 @@ def integrate_geodesic(metric, x0, v0, s_max, h=1e-2, s_min=0.0):
     parts_s, parts_x, parts_v = [], [], []
     if s_min < 0:
         n_back = max(1, int(math.ceil(-s_min / h)))
-        xs, vs, tr = _rk4_march(metric, x0, v0, s_min, n_back)
+        xs, vs, tr = _rk4_march(metric, _geodesic_rhs, x0, v0, s_min, n_back)
         truncated |= tr
         s_back = np.linspace(0, s_min, n_back + 1)[: len(xs)]
         parts_s.append(s_back[::-1][:-1])
@@ -423,7 +427,7 @@ def integrate_geodesic(metric, x0, v0, s_max, h=1e-2, s_min=0.0):
         parts_v.append(vs[::-1][:-1])
     if s_max > 0:
         n_fwd = max(1, int(math.ceil(s_max / h)))
-        xs, vs, tr = _rk4_march(metric, x0, v0, s_max, n_fwd)
+        xs, vs, tr = _rk4_march(metric, _geodesic_rhs, x0, v0, s_max, n_fwd)
         truncated |= tr
         s_fwd = np.linspace(0, s_max, n_fwd + 1)[: len(xs)]
         parts_s.append(s_fwd)
@@ -645,10 +649,23 @@ class ObservationSet:
         self.center = np.asarray(self.center, dtype=float)
 
     def contains(self, x, margin=0.0):
+        """Whether points lie in rho shrunk by margin, over the leading axes of x."""
         x = np.asarray(x, dtype=float)
-        if not (margin < x[0] < self.T - margin):
-            return False
-        return float(np.linalg.norm(x[1:] - self.center)) < self.radius - margin
+        t = x[..., 0]
+        d = x[..., 1:] - self.center
+        # a stacked dot product rounds like the norm of one point, so a point
+        # on the boundary is decided alike alone and in a batch
+        r = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+        return (margin < t) & (t < self.T - margin) & (r < self.radius - margin)
+
+    def middle_inside(self, segments, params, margin):
+        """The middle of the params at which every segment's point lies inside, or None."""
+        params = np.asarray(params, dtype=float)
+        inside = np.ones(len(params), dtype=bool)
+        for seg in segments:
+            inside &= self.contains(seg.position(params), margin)
+        valid = params[inside]
+        return float(valid[len(valid) // 2]) if len(valid) else None
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +686,7 @@ def _endpoint(metric, x, v, s, h):
     if metric.is_flat:
         return x + s * v
     n = max(8, int(math.ceil(abs(s) / h)))
-    xs, _, truncated = _rk4_march(metric, x, v, s, n)
+    xs, _, truncated = _rk4_march(metric, _geodesic_rhs, x, v, s, n)
     if truncated:
         return np.full(metric.dim, 1e6)
     return xs[-1]

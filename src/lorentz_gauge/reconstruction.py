@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AdmissibilityError, CapabilityError, DomainError
+from .errors import AdmissibilityError, DomainError
 from .geometry import (
     WorldLine,
     earliest_obs_time,
@@ -42,68 +42,44 @@ from .transport import (
 )
 
 
+# scans of a leg for the parameters at which it lies inside the observation
+# set: grid size, and margin to the boundary of the set
+LEG_SCAN_POINTS = 80
+LEG_SCAN_MARGIN = 1e-3
+# slack kept by the honest incoming leg's length to the vertex's room in the set
+HONEST_MARGIN = 1e-3
+
+
 class TransformOracle:
     """Deterministic broken-transform data source for one connection.
 
-    provenance is one of "synthetic" (full connection available, per-leg
-    transports derivable) or "external" (matrices only, keyed by query);
-    per-leg access on an external oracle raises CapabilityError.
+    Besides whole broken transforms it gives the per-leg transports,
+    which synthetic extraction uses.
     """
 
-    def __init__(self, metric, connection=None, observation=None, provenance="synthetic",
-                 h=1e-3, table=None):
+    def __init__(self, metric, connection, observation=None, h=1e-3):
         self.metric = metric
         self.connection = connection
         self.observation = observation
-        self.provenance = provenance
         self.h = h
+        self.n = connection.n
         self.cache = CutTimeCache(metric)
-        self._table = table
-        if provenance == "synthetic" and connection is None:
-            raise DomainError("synthetic oracle needs a connection")
-        if provenance == "external" and table is None:
-            raise DomainError("external oracle needs a query table")
-
-    @property
-    def n(self):
-        if self.connection is not None:
-            return self.connection.n
-        return next(iter(self._table.values())).shape[0]
 
     def broken(self, q):
-        if self.provenance == "external":
-            key = _query_key(q)
-            if key not in self._table:
-                raise DomainError("query not present in the external table")
-            return self._table[key]
         return broken_transform(
             self.metric, self.connection, q, observation=self.observation,
             cache=self.cache, h=self.h,
         )
 
     def out_leg(self, y, w, s_out):
-        """P along gamma_{y,w}([0, s_out]) — synthetic mode only."""
-        if self.provenance != "synthetic":
-            raise CapabilityError("per-leg transport requires a synthetic oracle")
+        """P along gamma_{y,w}([0, s_out])."""
         seg = integrate_geodesic(self.metric, y, w, s_out, h=min(1e-2, s_out / 50))
         return parallel_transport(self.metric, self.connection, seg, 0.0, s_out, h=self.h)
 
     def in_leg(self, y, v, s_in):
-        """P from gamma_{y,v}(s_in) to y — synthetic mode only."""
-        if self.provenance != "synthetic":
-            raise CapabilityError("per-leg transport requires a synthetic oracle")
+        """P from gamma_{y,v}(s_in) to y."""
         seg = integrate_geodesic(self.metric, y, v, s_in, h=min(1e-2, s_in / 50))
         return parallel_transport(self.metric, self.connection, seg, s_in, 0.0, h=self.h)
-
-
-def _query_key(q, decimals=9):
-    return (
-        tuple(np.round(q.y, decimals)),
-        tuple(np.round(q.v, decimals)),
-        tuple(np.round(q.w, decimals)),
-        round(q.s_in, decimals),
-        round(q.s_out, decimals),
-    )
 
 
 def _validate_out_leg(metric, y, w, s_out, observation, cache, tol_cut=1e-6):
@@ -125,11 +101,12 @@ def _validate_out_leg(metric, y, w, s_out, observation, cache, tol_cut=1e-6):
             raise AdmissibilityError("outgoing endpoint outside the observation set")
 
 
-def _honest_incoming_query(metric, observation, y, w, s_out, margin=1e-3):
+def _honest_incoming_query(metric, observation, y, w, s_out):
     """A query whose incoming leg stays inside the observation set.
 
     Only vertices inside the observation set admit one; the incoming
-    direction is the first frame direction not colinear with w.
+    direction is the first frame direction not colinear with w, and every
+    stored sample of its leg must lie inside.
     """
     if observation is None or not observation.contains(y):
         return None
@@ -142,11 +119,11 @@ def _honest_incoming_query(metric, observation, y, w, s_out, margin=1e-3):
         if np.linalg.norm(vn[1:] + wn[1:]) < 1e-6:
             continue  # colinear with the outgoing direction
         room = observation.radius - float(np.linalg.norm(y[1:] - observation.center))
-        s_in = 0.45 * min(y[0] - margin, room)
-        if s_in <= margin:
+        s_in = 0.45 * min(y[0] - HONEST_MARGIN, room)
+        if s_in <= HONEST_MARGIN:
             continue
         seg = integrate_geodesic(metric, y, v, s_in, h=min(1e-2, s_in / 20))
-        if all(observation.contains(p, margin=0.0) for p in seg.x):
+        if observation.contains(seg.x).all():
             return BrokenRayQuery(y, v, w, s_in, s_out)
     return None
 
@@ -257,7 +234,7 @@ class GaugeReconstruction:
         }
 
 
-def _admissible_out_legs(metric, observation, y, k, cache, n_scan=80, margin=1e-3):
+def _admissible_out_legs(metric, observation, y, k, cache):
     """Up to k admissible (w, s'') pairs at y, in deterministic direction order.
 
     Directions are aimed at k sampled targets inside the observation
@@ -278,20 +255,19 @@ def _admissible_out_legs(metric, observation, y, k, cache, n_scan=80, margin=1e-
             dirs.append(u)
     found = []
     t_room = observation.T - y[0]
-    if t_room <= margin:
+    if t_room <= LEG_SCAN_MARGIN:
         return found
     for u in dirs:
         w = frame @ np.concatenate([[1.0], u])
         s_hi = min(t_room * 1.5, cache.cut_time(y, w) - 1e-6)
-        if s_hi <= margin:
+        if s_hi <= LEG_SCAN_MARGIN:
             continue
         seg = integrate_geodesic(metric, y, w, s_hi, h=max(1e-2, s_hi / 400))
-        grid = np.linspace(margin, seg.s_max, n_scan)
-        valid = [
-            float(s) for s in grid if observation.contains(seg.position(float(s)), margin=margin)
-        ]
-        if valid:
-            found.append((w, valid[len(valid) // 2]))
+        s_out = observation.middle_inside(
+            [seg], np.linspace(LEG_SCAN_MARGIN, seg.s_max, LEG_SCAN_POINTS), LEG_SCAN_MARGIN
+        )
+        if s_out is not None:
+            found.append((w, s_out))
     return found
 
 

@@ -24,7 +24,13 @@ from itertools import permutations
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .geometry import GeodesicSegment, integrate_geodesic, null_vector, time_separation
+from .geometry import (
+    GeodesicSegment,
+    _rk4_march,
+    integrate_geodesic,
+    null_vector,
+    time_separation,
+)
 from .transport import BrokenRayQuery, _cf4_product, _stage_params, parallel_transport
 
 # ---------------------------------------------------------------------------
@@ -105,27 +111,9 @@ def integrate_bicharacteristic(metric, x0, xi0, s_max, h=1e-2):
         xis = np.broadcast_to(xi0, xs.shape).copy()
         return Bicharacteristic(metric, s, xs, xis)
     m = max(1, int(math.ceil(s_max / h)))
-    hs = s_max / m
-    xs = np.empty((m + 1, metric.dim))
-    xis = np.empty((m + 1, metric.dim))
-    xs[0], xis[0] = x0, xi0
-    x, xi = x0.copy(), xi0.copy()
-    truncated = False
-    count = m
-    for i in range(m):
-        k1x, k1p = _bichar_rhs(metric, x, xi)
-        k2x, k2p = _bichar_rhs(metric, x + 0.5 * hs * k1x, xi + 0.5 * hs * k1p)
-        k3x, k3p = _bichar_rhs(metric, x + 0.5 * hs * k2x, xi + 0.5 * hs * k2p)
-        k4x, k4p = _bichar_rhs(metric, x + hs * k3x, xi + hs * k3p)
-        x = x + (hs / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        xi = xi + (hs / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        if not (np.all(np.isfinite(x)) and metric.in_chart(x)):
-            truncated = True
-            count = i
-            break
-        xs[i + 1], xis[i + 1] = x, xi
-    s = np.linspace(0.0, s_max, m + 1)[: count + 1]
-    return Bicharacteristic(metric, s, xs[: count + 1], xis[: count + 1], truncated=truncated)
+    xs, xis, truncated = _rk4_march(metric, _bichar_rhs, x0, xi0, s_max, m)
+    s = np.linspace(0.0, s_max, m + 1)[: len(xs)]
+    return Bicharacteristic(metric, s, xs, xis, truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +299,14 @@ class InteractionGeometry:
         return BrokenRayQuery(self.y, self.w_legs[0], self.w, self.s_in, s_out)
 
 
-def build_interaction_geometry(metric, y, theta, r, observation, s_range=None,
-                               n_scan=120, h=1e-2, margin=1e-6):
+# the s' search: grid size over s_range, margin inside the observation
+# set, and the RK4 step of the three source legs
+S_SCAN_POINTS = 120
+S_SCAN_MARGIN = 1e-6
+SOURCE_LEG_STEP = 1e-2
+
+
+def build_interaction_geometry(metric, y, theta, r, observation, s_range=None):
     """Construct the three-source geometry at vertex y with opening theta and
     perturbation size r.
 
@@ -369,17 +363,13 @@ def build_interaction_geometry(metric, y, theta, r, observation, s_range=None,
     lo, hi = s_range
     if not lo < hi:
         raise GeometryError("empty s' search range")
-    smax = hi * 1.01
-    segments = [integrate_geodesic(metric, y, u, smax, h=h) for u in w_legs]
-    candidates = np.linspace(lo, hi, n_scan)
-    valid = []
-    for s in candidates:
-        pts = [seg.position(float(s)) for seg in segments]
-        if all(observation.contains(p, margin=margin) for p in pts):
-            valid.append(float(s))
-    if not valid:
+    segments = [
+        integrate_geodesic(metric, y, u, hi * 1.01, h=SOURCE_LEG_STEP) for u in w_legs
+    ]
+    s_in = observation.middle_inside(segments, np.linspace(lo, hi, S_SCAN_POINTS),
+                                     S_SCAN_MARGIN)
+    if s_in is None:
         raise GeometryError("no common s' places all three sources in the observation set")
-    s_in = valid[len(valid) // 2]
 
     x_legs = [seg.position(s_in) for seg in segments]
     xi_legs = [-seg.velocity(s_in) for seg in segments]

@@ -147,27 +147,24 @@ def determinant_track_residual(metric, connection, segment, a, b, h=1e-3):
 
 
 class CutTimeCache:
-    """Memo table for null cut times keyed by (point, direction) buckets."""
+    """Memo table for null cut times keyed by point and direction.
 
-    def __init__(self, metric, s_max=None, decimals=9):
+    gamma_{x,cv}(s) = gamma_{x,v}(cs), so the cut time of cv is the cut
+    time of v divided by c. The table holds the cut time of the direction
+    scaled to |v^0| = 1, and each lookup divides it by |v^0|.
+    """
+
+    def __init__(self, metric):
         self.metric = metric
-        self.s_max = s_max
-        self.decimals = decimals
         self._table = {}
 
-    def _key(self, x, v):
-        v = np.asarray(v, dtype=float)
-        v = v / abs(v[0])
-        return (
-            tuple(np.round(np.asarray(x, dtype=float), self.decimals)),
-            tuple(np.round(v, self.decimals)),
-        )
-
     def cut_time(self, x, v):
-        key = self._key(x, v)
+        v = np.asarray(v, dtype=float)
+        scale = abs(v[0])
+        key = (tuple(np.round(np.asarray(x, dtype=float), 9)), tuple(np.round(v / scale, 9)))
         if key not in self._table:
-            self._table[key] = null_cut_time(self.metric, x, v, s_max=self.s_max)
-        return self._table[key]
+            self._table[key] = null_cut_time(self.metric, x, v) * scale
+        return self._table[key] / scale
 
     def __len__(self):
         return len(self._table)
@@ -226,25 +223,28 @@ def validate_query(metric, q, observation, cache=None, tol_cut=1e-6):
     if q.s_out >= cache.cut_time(y, q.w) - tol_cut:
         raise AdmissibilityError("s_out exceeds the outgoing cut time")
     if observation is not None:
-        x_in = integrate_geodesic(metric, y, q.v, q.s_in, h=max(1e-3, q.s_in / 200)).endpoint
-        if not observation.contains(x_in):
+        seg_in, seg_out = leg_segments(metric, q)
+        if not observation.contains(seg_in.endpoint):
             raise AdmissibilityError("incoming endpoint outside the observation set")
-        x_out = integrate_geodesic(metric, y, q.w, q.s_out, h=max(1e-3, q.s_out / 200)).endpoint
-        if not observation.contains(x_out):
+        if not observation.contains(seg_out.endpoint):
             raise AdmissibilityError("outgoing endpoint outside the observation set")
 
 
-def transform_legs(metric, connection, q, h=1e-3, h_geo=None):
+def leg_segments(metric, q):
+    """The incoming and outgoing geodesic segments of a query, as transported."""
+    h_geo = min(1e-2, min(q.s_in, q.s_out) / 50)
+    return (integrate_geodesic(metric, q.y, q.v, q.s_in, h=h_geo),
+            integrate_geodesic(metric, q.y, q.w, q.s_out, h=h_geo))
+
+
+def transform_legs(metric, connection, q, h=1e-3):
     """The two transports (P_in, P_out) of a broken-ray query.
 
     P_in transports from x = gamma_{y,v}(s_in) to y along the
     future-reparameterized incoming leg; P_out from y to
-    gamma_{y,w}(s_out).
+    gamma_{y,w}(s_out). Admissibility is decided on the same segments.
     """
-    if h_geo is None:
-        h_geo = min(1e-2, min(q.s_in, q.s_out) / 50)
-    seg_in = integrate_geodesic(metric, q.y, q.v, q.s_in, h=h_geo)
-    seg_out = integrate_geodesic(metric, q.y, q.w, q.s_out, h=h_geo)
+    seg_in, seg_out = leg_segments(metric, q)
     # transport from parameter s_in down to 0 equals the transport along
     # gamma_{x, xi} with xi = -gamma'_{y,v}(s_in), per the change of variables
     p_in = parallel_transport(metric, connection, seg_in, q.s_in, 0.0, h=h)

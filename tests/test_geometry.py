@@ -314,6 +314,70 @@ def test_null_cut_time_rejects_non_null():
         null_cut_time(m, np.zeros(3), np.array([1.0, 0.0, 0.0]))
 
 
+# -- observation sets ---------------------------------------------------------
+
+
+def _contains_reference(obs, x, margin):
+    """The scalar formula, one point at a time."""
+    return (margin < x[0] < obs.T - margin
+            and float(np.linalg.norm(x[1:] - obs.center)) < obs.radius - margin)
+
+
+def test_batched_contains_matches_scalar_formula(rng):
+    obs = ObservationSet(Minkowski(3), T=6.0, radius=1.0, center=np.array([0.3, -0.2]))
+    margin = 1e-3
+    n = 20000
+    pts = np.concatenate([rng.uniform(-0.5, 6.5, (n, 1)),
+                          obs.center + rng.uniform(-1.3, 1.3, (n, 2))], axis=1)
+    # points on the margin: in time at both ends, in space on the shrunk circle
+    edge = pts[:300].copy()
+    edge[:50, 0] = margin
+    edge[50:100, 0] = obs.T - margin
+    ang = rng.uniform(0.0, 2 * math.pi, 200)
+    edge[100:, 1:] = obs.center + (obs.radius - margin) * np.stack([np.cos(ang), np.sin(ang)], 1)
+    pts = np.concatenate([pts, edge])
+    for m in (0.0, margin):
+        got = obs.contains(pts, margin=m)
+        ref = np.array([_contains_reference(obs, p, m) for p in pts])
+        assert got.shape == (len(pts),)
+        assert 0.1 * n < np.count_nonzero(ref) < 0.9 * n
+        assert np.array_equal(got, ref)
+        assert all(obs.contains(p, margin=m) == r for p, r in zip(edge, ref[n:]))
+    # one point gives one truth value; leading axes are kept
+    assert obs.contains(pts[0]).shape == ()
+    assert obs.contains(pts[:12].reshape(3, 4, 3)).shape == (3, 4)
+
+
+def _middle_inside_loop(obs, segments, params, margin):
+    """Per-parameter scan: the middle of the parameters at which every point is inside."""
+    valid = [float(s) for s in params
+             if all(_contains_reference(obs, seg.position(float(s)), margin) for seg in segments)]
+    return valid[len(valid) // 2] if valid else None
+
+
+@pytest.mark.parametrize("metric", [Minkowski(3), warped_cosine()], ids=["minkowski", "warped"])
+@pytest.mark.parametrize("n_segments", [1, 3])
+def test_middle_inside_matches_parameter_loop(rng, metric, n_segments):
+    obs = ObservationSet(metric, T=6.0, radius=1.0)
+    outcomes = set()
+    for _ in range(6):
+        y = np.concatenate([[rng.uniform(2.0, 4.5)], rng.uniform(-1.5, 1.5, 2)])
+        aim = -y[1:] / np.linalg.norm(y[1:])
+        segments = [
+            integrate_geodesic(
+                metric, y, null_vector(metric, y, aim + 0.4 * rng.standard_normal(2), -1.0),
+                y[0], h=2e-2,
+            )
+            for _ in range(n_segments)
+        ]
+        params = np.linspace(1e-3, y[0], 80)
+        for margin in (0.0, 1e-3, 0.3):
+            got = obs.middle_inside(segments, params, margin)
+            assert got == _middle_inside_loop(obs, segments, params, margin)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 # -- worldlines and earliest observation --------------------------------------
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lorentz_gauge.errors import AdmissibilityError, CapabilityError, DomainError
+from lorentz_gauge.errors import AdmissibilityError, DomainError
 from lorentz_gauge.gauge import (
     ConnectionField,
     GaugeField,
@@ -109,15 +109,6 @@ def test_candidate_honest_mode_needs_observable_vertex(planted):
     with pytest.raises(AdmissibilityError):
         gauge_candidate(M3, oa, ob, Y_OUT, outgoing_toward_center(Y_OUT), S_OUT,
                         observation=OBS, mode="honest")
-
-
-def test_external_oracle_capability(planted):
-    a, _, _ = planted
-    ext = TransformOracle(M3, provenance="external", table={"dummy": np.eye(N)})
-    with pytest.raises(CapabilityError):
-        ext.out_leg(Y_OUT, outgoing_toward_center(Y_OUT), S_OUT)
-    with pytest.raises(DomainError):
-        TransformOracle(M3, provenance="external")
 
 
 # -- grid reconstruction ------------------------------------------------------

@@ -13,7 +13,15 @@ from lorentz_gauge.gauge import (
     gauge_act,
     random_connection,
 )
-from lorentz_gauge.geometry import Minkowski, ObservationSet, integrate_geodesic
+from lorentz_gauge.geometry import (
+    Cylinder,
+    Minkowski,
+    ObservationSet,
+    WarpedProduct,
+    integrate_geodesic,
+    null_cut_time,
+    null_vector,
+)
 from lorentz_gauge.linalg import (
     expm_skew,
     polar_project,
@@ -255,8 +263,6 @@ def test_admissibility_conditions_named():
 
 
 def test_cut_time_admissibility_on_cylinder():
-    from lorentz_gauge.geometry import Cylinder
-
     c = Cylinder()
     obs = ObservationSet(c, T=20.0, radius=100.0)  # no spatial restriction in effect
     a = ConnectionField.zero(2, 1)
@@ -270,11 +276,46 @@ def test_cut_time_admissibility_on_cylinder():
 
 
 def test_cut_time_cache_reuse():
-    cache = CutTimeCache(M3, s_max=10.0)
-    t1 = cache.cut_time(np.zeros(DIM), NULL_V)
-    t2 = cache.cut_time(np.zeros(DIM), NULL_V * 2.0)  # same direction bucket
-    assert t1 == t2 == math.inf
-    assert len(cache) == 1
+    # [DERIVED] gamma_{x,cv}(s) = gamma_{x,v}(cs): scaling v by c divides the
+    # cut time by c, inf on Minkowski and pi/|v^0| on the cylinder
+    cases = [
+        (M3, np.zeros(DIM), NULL_V, math.inf),
+        (Cylinder(), np.array([5.0, 1.0]), np.array([1.0, 1.0]), math.pi),
+    ]
+    for metric, x, v, expected in cases:
+        cache = CutTimeCache(metric)
+        t1 = cache.cut_time(x, v)
+        t2 = cache.cut_time(x, v * 2.0)  # same direction bucket
+        assert t1 == expected
+        assert t2 == expected / 2.0 == null_cut_time(metric, x, v * 2.0)
+        assert len(cache) == 1
+
+
+def test_validation_sees_the_transported_legs(monkeypatch):
+    # on a warped metric the endpoint tests of validate_query run on the
+    # same RK4 segments that transform_legs transports
+    import lorentz_gauge.transport as tr
+
+    beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
+    m = WarpedProduct(3, beta, beta_time_only=True)
+    y = np.array([3.0, 0.2, 0.1])
+    v = null_vector(m, y, np.array([1.0, 0.0]), time_sign=-1.0)
+    w = null_vector(m, y, np.array([0.0, 1.0]))
+    q = BrokenRayQuery(y, v, w, 0.5, 0.6)
+    ends = []
+
+    def recording(*args, **kwargs):
+        seg = integrate_geodesic(*args, **kwargs)
+        ends.append(seg.endpoint)
+        return seg
+
+    monkeypatch.setattr(tr, "integrate_geodesic", recording)
+    validate_query(m, q, ObservationSet(m, T=6.0, radius=2.0))
+    checked = list(ends)
+    ends.clear()
+    transform_legs(m, ConnectionField.zero(3, 1), q)
+    assert len(checked) == 2
+    assert np.array_equal(checked, ends)
 
 
 def test_batch_roundtrip(tmp_path, rng):
