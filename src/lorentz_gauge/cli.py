@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .config import DEFAULT_SCENARIO, Fixture, ScenarioError, load_scenario, validate_scenario
-from .errors import AdmissibilityError, CapabilityError
+from .errors import AdmissibilityError, CapabilityError, GeometryError
 from .gauge import gauge_act
 from .geometry import (
     Cylinder,
@@ -169,9 +169,8 @@ def _admissible_queries(fx, count, cache):
             continue
         w, s_out = outs[fx.rng.integers(len(outs))]
         # past leg aimed near the observation center
-        target = obs.center + 0.4 * obs.radius * unit_directions(m.dim - 1, 8)[
-            fx.rng.integers(8)
-        ]
+        aims = unit_directions(m.dim - 1, 8)
+        target = obs.center + 0.4 * obs.radius * aims[fx.rng.integers(len(aims))]
         d = target - y[1:]
         if np.linalg.norm(d) < 1e-9:
             continue
@@ -267,9 +266,14 @@ def run_reconstruct(fx, params, out_dir, strict):
 
 def run_interaction(fx, params, out_dir, strict):
     checks = []
+    y = np.asarray(params["y"], dtype=float)
+    if fx.metric.dim < 3:
+        raise CapabilityError("the interaction experiment needs at least two spatial dimensions")
+    if y.shape != (fx.metric.dim,):
+        raise ScenarioError(f"the vertex needs {fx.metric.dim} coordinates",
+                            path="$.interaction.y")
     amp = float(params.get("amplitude", 0.1))
     conn = fx.connection(amplitude=amp)
-    y = np.asarray(params["y"], dtype=float)
     r_sweep = [float(r) for r in params["r_sweep"]]
     s_out = float(params["s_out"])
     worst_kappa_res = 0.0
@@ -278,15 +282,20 @@ def run_interaction(fx, params, out_dir, strict):
     cauchy_ok = True
     flow_ok = True
     for theta in params["thetas"]:
-        geoms = {
-            r: build_interaction_geometry(fx.metric, y, float(theta), r, fx.observation)
-            for r in r_sweep
-        }
+        try:
+            geoms = {
+                r: build_interaction_geometry(fx.metric, y, float(theta), r, fx.observation)
+                for r in r_sweep
+            }
+            # the measurements are compared with the transform of the smallest r's query
+            s_mat = broken_transform(fx.metric, conn, geoms[min(r_sweep)].query(s_out),
+                                     observation=fx.observation)
+        except (GeometryError, AdmissibilityError) as exc:
+            _check(checks, "interaction_geometry", 1.0, 0.5)
+            return {"checks": checks, "geometry_error": str(exc)}
         for geom in geoms.values():
             worst_kappa_res = max(worst_kappa_res, geom.kappa_residual)
             min_kappa = min(min_kappa, float(np.min(geom.kappa)))
-        r_min = min(r_sweep)
-        cache = CutTimeCache(fx.metric)
         for _ in range(int(params["n_vectors"])):
             c = fx.unit_vector()
             outs = []
@@ -296,8 +305,6 @@ def run_interaction(fx, params, out_dir, strict):
             diffs = [float(np.linalg.norm(outs[i + 1] - outs[i])) for i in range(len(outs) - 1)]
             if any(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:])):
                 cauchy_ok = False
-            s_mat = broken_transform(fx.metric, conn, geoms[r_min].query(s_out),
-                                     observation=fx.observation, cache=cache)
             worst_meas = max(
                 worst_meas,
                 float(np.linalg.norm(outs[-1] - normalize_phase_scale(s_mat @ c))),
@@ -406,18 +413,17 @@ def main(argv=None):
             scenario = load_scenario(args.config)
         else:
             scenario = validate_scenario(json.loads(json.dumps(DEFAULT_SCENARIO)))
+        if args.command in EXPERIMENTS:
+            experiments = [args.command]
+        elif args.command == "verify-all":
+            experiments = list(EXPERIMENTS)
+        else:  # run: whatever the scenario enables
+            experiments = scenario.get("experiments", list(EXPERIMENTS))
+        report = run_scenario(scenario, experiments, args.out, seed=args.seed,
+                              strict=args.strict)
     except ScenarioError as exc:
         print(f"scenario error at {exc.path}: {exc}", file=sys.stderr)
         return 2
-    if args.command in EXPERIMENTS:
-        experiments = [args.command]
-    elif args.command == "verify-all":
-        experiments = list(EXPERIMENTS)
-    else:  # run: whatever the scenario enables
-        experiments = scenario.get("experiments", list(EXPERIMENTS))
-    try:
-        report = run_scenario(scenario, experiments, args.out, seed=args.seed,
-                              strict=args.strict)
     except CapabilityError as exc:
         print(f"unsupported by this metric: {exc}", file=sys.stderr)
         return 2

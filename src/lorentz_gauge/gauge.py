@@ -87,14 +87,10 @@ class ConnectionField:
         return np.stack([c.value(x) for c in self.comps], axis=-3)
 
     def pairing(self, x, v):
-        """<A(x), v> = sum_i v^i A_i(x), a skew-Hermitian matrix."""
+        """<A(x), v> = sum_i v^i A_i(x), a skew-Hermitian matrix; batched over leading axes."""
         comps = self.components(x)
         v = np.asarray(v, dtype=float)
         return np.einsum("...i,...ijk->...jk", v, comps)
-
-    def pairing_batch(self, xs, vs):
-        """Pairings at many (point, vector) pairs; shapes (N, dim) -> (N, n, n)."""
-        return self.pairing(np.asarray(xs, dtype=float), np.asarray(vs, dtype=float))
 
     def derivatives(self, x):
         """d_k A_i (x), shape (..., dim_k, dim_i, n, n)."""
@@ -280,9 +276,6 @@ class GaugedConnection:
         v = np.asarray(v, dtype=float)
         u, dphi_v = self.phi.value_and_derivative(x, v)
         return adjoint(u) @ (dphi_v + self.base.pairing(x, v) @ u)
-
-    def pairing_batch(self, xs, vs):
-        return self.pairing(np.asarray(xs, dtype=float), np.asarray(vs, dtype=float))
 
     def components(self, x):
         x = np.asarray(x, dtype=float)

@@ -40,9 +40,11 @@ TWO_PI = 2.0 * math.pi
 class Metric:
     """Base class: a Lorentzian metric on a coordinate chart of R^dim.
 
-    Causal queries (``time_separation``, ``null_cut_time``) are available
-    only where the metric knows its causal structure in closed form;
-    elsewhere they raise CapabilityError.
+    Every method takes points (and vectors) over leading axes: a point
+    array of shape (..., dim) gives results of shape (...) + the shape
+    for one point.  Causal queries (``time_separation``,
+    ``null_cut_time``) are available only where the metric knows its
+    causal structure in closed form; elsewhere they raise CapabilityError.
     """
 
     dim: int
@@ -50,18 +52,18 @@ class Metric:
     is_flat = False
 
     def matrix(self, x):
-        """Metric components g_ij at x, shape (dim, dim)."""
+        """Metric components g_ij at x, shape (..., dim, dim)."""
         raise NotImplementedError
 
     def inverse(self, x):
         return np.linalg.inv(self.matrix(x))
 
     def partials(self, x):
-        """d[k, i, j] = d g_ij / d x^k at x (zero for flat metrics)."""
+        """d[..., k, i, j] = d g_ij / d x^k at x (zero for flat metrics)."""
         raise NotImplementedError
 
     def in_chart(self, x):
-        return True
+        return np.ones(np.shape(x)[:-1], dtype=bool)
 
     def coord_delta(self, a, b):
         """Chart-aware coordinate difference a - b (wrapped for periodic charts)."""
@@ -80,28 +82,34 @@ class Metric:
     # -- derived quantities --------------------------------------------------
 
     def christoffel(self, x):
-        """Christoffel symbols Gamma^i_{jk} at x, shape (dim, dim, dim)."""
+        """Christoffel symbols Gamma^i_{jk} at x, shape (..., dim, dim, dim)."""
         d = self.partials(x)
         ginv = self.inverse(x)
         # Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_lj - d_l g_jk)
         bracket = (
-            np.einsum("jlk->ljk", d)
-            + np.einsum("klj->ljk", d)
-            - np.einsum("ljk->ljk", d)
+            np.einsum("...jlk->...ljk", d)
+            + np.einsum("...klj->...ljk", d)
+            - d
         )
-        return 0.5 * np.einsum("il,ljk->ijk", ginv, bracket)
+        return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, bracket)
+
+    def geodesic_acceleration(self, x, v):
+        """The geodesic equation's x'' = -Gamma^i_jk v^j v^k, shape (..., dim)."""
+        return -np.einsum("...ijk,...j,...k->...i", self.christoffel(x), v, v)
 
     def inner(self, x, u, v):
-        """g_x(u, v)."""
-        return float(np.real(np.asarray(u) @ self.matrix(x) @ np.asarray(v)))
+        """g_x(u, v), summed as (u g) v."""
+        u = np.asarray(u, dtype=float)[..., None, :]
+        v = np.asarray(v, dtype=float)[..., :, None]
+        return (u @ self.matrix(x) @ v)[..., 0, 0]
 
     def flat(self, x, v):
         """Index lowering: the covector v^flat = g(v, .)."""
-        return self.matrix(x) @ np.asarray(v, dtype=float)
+        return (self.matrix(x) @ np.asarray(v, dtype=float)[..., None])[..., 0]
 
     def sharp(self, x, xi):
         """Index raising: the vector xi^sharp with g(xi^sharp, .) = xi."""
-        return self.inverse(x) @ np.asarray(xi, dtype=float)
+        return (self.inverse(x) @ np.asarray(xi, dtype=float)[..., None])[..., 0]
 
     def validate_point(self, x):
         x = np.asarray(x, dtype=float)
@@ -121,16 +129,15 @@ class _FlatMetric(Metric):
     _g: np.ndarray
 
     def matrix(self, x):
-        return self._g
+        return np.zeros(np.shape(x)[:-1] + self._g.shape) + self._g
 
-    def inverse(self, x):
-        return self._g
+    inverse = matrix  # diag(-1, 1, ..., 1) is its own inverse
 
     def partials(self, x):
-        return np.zeros((self.dim,) * 3)
+        return np.zeros(np.shape(x)[:-1] + (self.dim,) * 3)
 
-    def christoffel(self, x):
-        return np.zeros((self.dim,) * 3)
+    def geodesic_acceleration(self, x, v):
+        return np.zeros(np.shape(v))
 
     def time_separation(self, x, y):
         return _tau(self.coord_delta(y, x))
@@ -197,34 +204,46 @@ class WarpedProduct(Metric):
         self.beta_time_only = bool(beta_time_only)
 
     def in_chart(self, x):
-        return self._diag(x)[0] > 0
+        return self.beta.value(x) > 0
 
     def _diag(self, x):
-        entries = np.empty(self.dim)
-        entries[0] = -float(self.beta.value(x))
-        if self.g0_diag is None:
-            entries[1:] = 1.0
-        else:
-            for i, f in enumerate(self.g0_diag):
-                entries[i + 1] = float(f.value(x))
-        return -entries[0], entries
+        """The diagonal D of the metric at x, shape (..., dim)."""
+        x = np.asarray(x, dtype=float)
+        diag = np.ones(x.shape[:-1] + (self.dim,))
+        diag[..., 0] = -self.beta.value(x)
+        for i, f in enumerate(self.g0_diag or ()):
+            diag[..., i + 1] = f.value(x)
+        if (diag[..., 0] >= 0).any():
+            raise DomainError("warping function is not positive at this point")
+        return diag
+
+    def _diag_grad(self, x):
+        """grad[..., k, i] = d D_i / d x^k, shape (..., dim, dim)."""
+        x = np.asarray(x, dtype=float)
+        grad = np.zeros(x.shape[:-1] + (self.dim, self.dim))
+        grad[..., 0] = -self.beta.grad(x)
+        for i, f in enumerate(self.g0_diag or ()):
+            grad[..., i + 1] = f.grad(x)
+        return grad
 
     def matrix(self, x):
-        b, entries = self._diag(x)
-        if b <= 0:
-            raise DomainError("warping function is not positive at this point")
-        return np.diag(entries)
+        return self._diag(x)[..., None] * np.eye(self.dim)
 
     def inverse(self, x):
-        return np.diag(1.0 / np.diag(self.matrix(x)))
+        return (1.0 / self._diag(x))[..., None] * np.eye(self.dim)
 
     def partials(self, x):
-        d = np.zeros((self.dim,) * 3)
-        d[:, 0, 0] = -np.asarray(self.beta.grad(x), dtype=float)
-        if self.g0_diag is not None:
-            for i, f in enumerate(self.g0_diag):
-                d[:, i + 1, i + 1] = np.asarray(f.grad(x), dtype=float)
-        return d
+        return self._diag_grad(x)[..., None] * np.eye(self.dim)
+
+    def geodesic_acceleration(self, x, v):
+        """Closed form of -Gamma(v, v) for the diagonal metric D:
+        a_i = -(v_i (d_v D_i) - 1/2 sum_j v_j^2 d_i D_j) / D_i.
+        """
+        v = np.asarray(v, dtype=float)
+        grad = self._diag_grad(x)
+        along = (v[..., None, :] @ grad)[..., 0, :]
+        across = (grad @ (v * v)[..., None])[..., 0]
+        return -(v * along - 0.5 * across) / self._diag(x)
 
     def _require_conformally_flat(self, query):
         if not (self.beta_time_only and self.g0_diag is None):
@@ -294,14 +313,7 @@ class GeodesicSegment:
 
     def _acceleration(self):
         if self._accel is None:
-            if self.metric.is_flat:
-                self._accel = np.zeros_like(self.v)
-            else:
-                acc = np.empty_like(self.v)
-                for i in range(len(self.s)):
-                    gam = self.metric.christoffel(self.x[i])
-                    acc[i] = -np.einsum("ijk,j,k->i", gam, self.v[i], self.v[i])
-                self._accel = acc
+            self._accel = self.metric.geodesic_acceleration(self.x, self.v)
         return self._accel
 
     def state(self, si):
@@ -343,10 +355,7 @@ class GeodesicSegment:
 
     def null_residual(self):
         """Max |g(v, v)| over the stored samples."""
-        worst = 0.0
-        for xi, vi in zip(self.x, self.v):
-            worst = max(worst, abs(self.metric.inner(xi, vi, vi)))
-        return worst
+        return float(np.max(np.abs(self.metric.inner(self.x, self.v, self.v))))
 
 
 def _hermite(p0, m0, p1, m1, t):
@@ -361,17 +370,14 @@ def _hermite(p0, m0, p1, m1, t):
     )
 
 
-def _geodesic_rhs(metric, x, v):
-    gam = metric.christoffel(x)
-    return v, -np.einsum("ijk,j,k->i", gam, v, v)
-
-
-def _rk4_march(metric, rhs, x0, v0, s_stop, n_steps):
+def _rk4_march(metric, x0, v0, s_stop, n_steps, rhs=None):
     """Fixed-step RK4 of (x, v)' = rhs(metric, x, v) from parameter 0 to s_stop.
 
+    The default rhs is the geodesic equation (v, metric.geodesic_acceleration).
     The sign of s_stop sets the direction; the march stops early when x
     leaves the chart.
     """
+    rhs = rhs or (lambda metric, x, v: (v, metric.geodesic_acceleration(x, v)))
     h = s_stop / n_steps
     xs = np.empty((n_steps + 1, metric.dim))
     vs = np.empty((n_steps + 1, metric.dim))
@@ -419,7 +425,7 @@ def integrate_geodesic(metric, x0, v0, s_max, h=1e-2, s_min=0.0):
     parts_s, parts_x, parts_v = [], [], []
     if s_min < 0:
         n_back = max(1, int(math.ceil(-s_min / h)))
-        xs, vs, tr = _rk4_march(metric, _geodesic_rhs, x0, v0, s_min, n_back)
+        xs, vs, tr = _rk4_march(metric, x0, v0, s_min, n_back)
         truncated |= tr
         s_back = np.linspace(0, s_min, n_back + 1)[: len(xs)]
         parts_s.append(s_back[::-1][:-1])
@@ -427,7 +433,7 @@ def integrate_geodesic(metric, x0, v0, s_max, h=1e-2, s_min=0.0):
         parts_v.append(vs[::-1][:-1])
     if s_max > 0:
         n_fwd = max(1, int(math.ceil(s_max / h)))
-        xs, vs, tr = _rk4_march(metric, _geodesic_rhs, x0, v0, s_max, n_fwd)
+        xs, vs, tr = _rk4_march(metric, x0, v0, s_max, n_fwd)
         truncated |= tr
         s_fwd = np.linspace(0, s_max, n_fwd + 1)[: len(xs)]
         parts_s.append(s_fwd)
@@ -593,45 +599,32 @@ def earliest_obs_time(metric, line, y, direction="future", tol=1e-8, coarse=256)
     direction="past":   f^- = sup { s : tau(mu(s), y) > 0 }, 0 if empty
     """
     y = metric.validate_point(y)
+    grid = np.linspace(0.0, line.T, coarse + 1)
     if direction == "future":
         def pred(s):
             return metric.time_separation(y, line.position(s)) > 0
-        empty_value, monotone_up = line.T, True
+        empty_value = line.T
     elif direction == "past":
         def pred(s):
             return metric.time_separation(line.position(s), y) > 0
-        empty_value, monotone_up = 0.0, False
+        # f^- is the first parameter observed when searching down from T
+        empty_value, grid = 0.0, grid[::-1]
     else:
         raise DomainError("direction must be 'future' or 'past'")
-    grid = np.linspace(0.0, line.T, coarse + 1)
     flags = pred(grid)
     if not flags.any():
         return empty_value
-    if monotone_up:
-        # first True
-        i = int(np.argmax(flags))
-        if i == 0:
-            return 0.0
-        lo, hi = float(grid[i - 1]), float(grid[i])
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if pred(mid):
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-    # last True
-    i = len(flags) - 1 - int(np.argmax(flags[::-1]))
-    if i == len(flags) - 1:
-        return line.T
-    lo, hi = float(grid[i]), float(grid[i + 1])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    i = int(np.argmax(flags))
+    if i == 0:
+        return float(grid[0])
+    outside, inside = float(grid[i - 1]), float(grid[i])
+    while abs(inside - outside) > tol:
+        mid = 0.5 * (outside + inside)
         if pred(mid):
-            lo = mid
+            inside = mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            outside = mid
+    return 0.5 * (outside + inside)
 
 
 @dataclass
@@ -682,17 +675,24 @@ class NullConnection:
     residual: float
 
 
-def _endpoint(metric, x, v, s, h):
+# shooting: residual accepted as converged, distance below which two
+# solutions are one, and the RK4 step of each shot
+SHOOT_TOL = 1e-9
+SHOOT_DEDUP = 1e-4
+SHOOT_STEP = 1e-2
+
+
+def _endpoint(metric, x, v, s):
     if metric.is_flat:
         return x + s * v
-    n = max(8, int(math.ceil(abs(s) / h)))
-    xs, _, truncated = _rk4_march(metric, _geodesic_rhs, x, v, s, n)
+    n = max(8, int(math.ceil(abs(s) / SHOOT_STEP)))
+    xs, _, truncated = _rk4_march(metric, x, v, s, n)
     if truncated:
         return np.full(metric.dim, 1e6)
     return xs[-1]
 
 
-def connect_null(metric, x, y, n_starts=None, tol=1e-9, dedup_tol=1e-4, h=1e-2):
+def connect_null(metric, x, y, n_starts=None):
     """All null geodesics from x to y found by multi-start shooting.
 
     Velocities are normalized to unit time component (|v^0| = 1), so the
@@ -723,7 +723,7 @@ def connect_null(metric, x, y, n_starts=None, tol=1e-9, dedup_tol=1e-4, h=1e-2):
             v = null_vector(metric, x, u / nu, time_sign=sign)
         except GeometryError:
             return np.full(metric.dim, 1e3)
-        end = _endpoint(metric, x, v, s, h)
+        end = _endpoint(metric, x, v, s)
         return metric.coord_delta(end, y) / scale
 
     solutions = []
@@ -735,7 +735,7 @@ def connect_null(metric, x, y, n_starts=None, tol=1e-9, dedup_tol=1e-4, h=1e-2):
         except Exception:
             continue
         r = float(np.linalg.norm(residual(res.x)))
-        if r > tol:
+        if r > SHOOT_TOL:
             continue
         n_conv += 1
         u = res.x[:-1]
@@ -744,7 +744,8 @@ def connect_null(metric, x, y, n_starts=None, tol=1e-9, dedup_tol=1e-4, h=1e-2):
         s = float(res.x[-1])
         new = True
         for sol in solutions:
-            if np.linalg.norm(v - sol.v) < dedup_tol and abs(s - sol.s_arr) < dedup_tol * max(1.0, s):
+            if (np.linalg.norm(v - sol.v) < SHOOT_DEDUP
+                    and abs(s - sol.s_arr) < SHOOT_DEDUP * max(1.0, s)):
                 new = False
                 break
         if new:

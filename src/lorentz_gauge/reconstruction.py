@@ -33,6 +33,7 @@ from .geometry import (
 from .linalg import polar_project, unitarity_residual
 from .symcalc import _orthonormal_frame
 from .transport import (
+    TOL_CUT,
     BrokenRayQuery,
     CutTimeCache,
     broken_transform,
@@ -82,7 +83,7 @@ class TransformOracle:
         return parallel_transport(self.metric, self.connection, seg, s_in, 0.0, h=self.h)
 
 
-def _validate_out_leg(metric, y, w, s_out, observation, cache, tol_cut=1e-6):
+def _validate_out_leg(metric, y, w, s_out, observation, cache):
     y = metric.validate_point(y)
     w = np.asarray(w, dtype=float)
     if abs(metric.inner(y, w, w)) > 1e-8 * max(1.0, float(w @ w)):
@@ -93,7 +94,7 @@ def _validate_out_leg(metric, y, w, s_out, observation, cache, tol_cut=1e-6):
         raise AdmissibilityError("s'' must be positive")
     if cache is None:
         cache = CutTimeCache(metric)
-    if s_out >= cache.cut_time(y, w) - tol_cut:
+    if s_out >= cache.cut_time(y, w) - TOL_CUT:
         raise AdmissibilityError("s'' exceeds the outgoing cut time")
     if observation is not None:
         end = integrate_geodesic(metric, y, w, s_out, h=min(1e-2, s_out / 50)).endpoint
@@ -166,16 +167,19 @@ def gauge_candidate(metric, oracle_a, oracle_b, y, w, s_out, observation=None,
 # ---------------------------------------------------------------------------
 
 
-def diamond_grid(metric, observation, per_axis=5, margin=0.35, worldline=None):
+# distance of the diamond lattice from the edges of the observation time span
+DIAMOND_MARGIN = 0.35
+
+
+def diamond_grid(metric, observation, per_axis=5):
     """Uniform interior lattice of the causal diamond of the central worldline.
 
     Keeps the lattice points y with f^-(y) > 0 and f^+(y) < T for the
-    sampled observer.
+    observer at the centre of the observation set.
     """
-    if worldline is None:
-        worldline = WorldLine(metric, T=observation.T, point=observation.center)
-    t_vals = np.linspace(margin, observation.T - margin, per_axis)
-    half = observation.T / 2.0 - margin
+    worldline = WorldLine(metric, T=observation.T, point=observation.center)
+    t_vals = np.linspace(DIAMOND_MARGIN, observation.T - DIAMOND_MARGIN, per_axis)
+    half = observation.T / 2.0 - DIAMOND_MARGIN
     sp_vals = [np.linspace(-half, half, per_axis) for _ in range(metric.dim - 1)]
     mesh = np.meshgrid(t_vals, *sp_vals, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -360,24 +364,19 @@ def verify_gauge_ode(metric, conn_a, conn_b, phi, samples, directions=None,
     return worst, skipped
 
 
-def verify_theorem(metric, conn_a, conn_b, phi, samples, fd_step=1e-5, bounds=None):
+def verify_theorem(metric, conn_a, conn_b, phi, samples, fd_step=1e-5):
     """Max over samples and coordinate directions of ||A_i - (B <| phi)_i||.
 
     (B <| phi)_i = phi^{-1} d_i phi + phi^{-1} B_i phi with d_i phi
     analytic when phi provides a differential, else central differences.
-    Returns (max_residual, n_skipped).
+    Returns (max_residual, n_skipped) like verify_gauge_ode; it skips no
+    sample, so n_skipped is 0.
     """
     ev = _phi_evaluator(phi)
     has_analytic = hasattr(phi, "differential")
     worst = 0.0
-    skipped = 0
     eye = np.eye(metric.dim)
     for x in np.atleast_2d(np.asarray(samples, dtype=float)):
-        if bounds is not None and not has_analytic:
-            lo, hi = bounds
-            if np.any(x - fd_step < lo) or np.any(x + fd_step > hi):
-                skipped += 1
-                continue
         u = ev(x)
         uinv = np.conj(u.T)
         if has_analytic:
@@ -390,4 +389,4 @@ def verify_theorem(metric, conn_a, conn_b, phi, samples, fd_step=1e-5, bounds=No
         b_comp = conn_b.components(x)
         gauged = uinv @ dphi + uinv @ b_comp @ u
         worst = max(worst, float(np.max(np.linalg.norm(a_comp - gauged, axis=(-2, -1)))))
-    return worst, skipped
+    return worst, 0

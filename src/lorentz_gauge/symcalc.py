@@ -23,7 +23,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import DomainError, GeometryError
+from .errors import CapabilityError, DomainError, GeometryError
 from .geometry import (
     GeodesicSegment,
     _rk4_march,
@@ -52,48 +52,29 @@ class Bicharacteristic:
     def s_max(self):
         return float(self.s[-1])
 
-    def hamiltonian(self, i=None):
-        if i is None:
-            return np.array([self.hamiltonian(j) for j in range(len(self.s))])
-        ginv = self.metric.inverse(self.x[i])
-        return 0.5 * float(self.xi[i] @ ginv @ self.xi[i])
+    def hamiltonian(self):
+        """H = 1/2 g^{ij} xi_i xi_j at every sample."""
+        return 0.5 * np.sum(self.xi * self.metric.sharp(self.x, self.xi), axis=-1)
 
     def hamiltonian_drift(self):
         h = self.hamiltonian()
         return float(np.max(np.abs(h - h[0])))
 
-    def velocity(self, i):
-        """The sharp of xi: the projected geodesic velocity."""
-        return self.metric.inverse(self.x[i]) @ self.xi[i]
-
     def to_segment(self):
         """Project to a GeodesicSegment (positions with v = xi^sharp)."""
-        vs = np.stack([self.velocity(i) for i in range(len(self.s))])
+        vs = self.metric.sharp(self.x, self.xi)
         return GeodesicSegment(self.metric, self.s, self.x, vs, truncated=self.truncated)
 
     def state(self, si):
         """Interpolated (x, xi) via the projected segment's Hermite data."""
-        seg = self.to_segment()
-        pos, vel = seg.state(si)
-        g = self.metric.matrix
-        if np.ndim(si) == 0:
-            return pos, g(pos) @ vel
-        return pos, np.stack([g(p) @ v for p, v in zip(pos, vel)])
-
-
-def _inverse_metric_partials(metric, x):
-    """d_k g^{ij} = -g^{il} (d_k g_lm) g^{mj}."""
-    ginv = metric.inverse(x)
-    d = metric.partials(x)
-    return -np.einsum("il,klm,mj->kij", ginv, d, ginv)
+        pos, vel = self.to_segment().state(si)
+        return pos, self.metric.flat(pos, vel)
 
 
 def _bichar_rhs(metric, x, xi):
     ginv = metric.inverse(x)
-    dginv = _inverse_metric_partials(metric, x)
-    xdot = ginv @ xi
-    xidot = -0.5 * np.einsum("kij,i,j->k", dginv, xi, xi)
-    return xdot, xidot
+    dginv = -ginv @ metric.partials(x) @ ginv  # d_k g^{ij} = -g^{il} (d_k g_lm) g^{mj}
+    return ginv @ xi, -0.5 * np.einsum("kij,i,j->k", dginv, xi, xi)
 
 
 def integrate_bicharacteristic(metric, x0, xi0, s_max, h=1e-2):
@@ -111,7 +92,7 @@ def integrate_bicharacteristic(metric, x0, xi0, s_max, h=1e-2):
         xis = np.broadcast_to(xi0, xs.shape).copy()
         return Bicharacteristic(metric, s, xs, xis)
     m = max(1, int(math.ceil(s_max / h)))
-    xs, xis, truncated = _rk4_march(metric, _bichar_rhs, x0, xi0, s_max, m)
+    xs, xis, truncated = _rk4_march(metric, x0, xi0, s_max, m, rhs=_bichar_rhs)
     s = np.linspace(0.0, s_max, m + 1)[: len(xs)]
     return Bicharacteristic(metric, s, xs, xis, truncated=truncated)
 
@@ -152,31 +133,37 @@ class FlatDensity:
     """Translation-invariant half density: the volume divergence vanishes."""
 
     def divergence(self, x, xi):
-        return 0.0
+        """Zero over the leading axes of x."""
+        return np.zeros(np.shape(x)[:-1])
 
 
 class LogDerivativeDensity:
-    """Half density specified by the divergence f(x, xi) of H_P against it."""
+    """Half density specified by the divergence f(x, xi) of H_P against it.
+
+    f takes one point and one covector; divergence calls it at each.
+    """
 
     def __init__(self, f):
         self.f = f
 
     def divergence(self, x, xi):
-        return float(self.f(x, xi))
+        """f over the leading axes of x and xi."""
+        return np.vectorize(self.f, signature="(n),(n)->()", otypes=[float])(x, xi)
 
 
-def volume_factor(metric, bichar, omega_spec, s, n_quad=400):
+# Simpson intervals of the volume factor (an even count)
+VOLUME_INTERVALS = 400
+
+
+def volume_factor(metric, bichar, omega_spec, s):
     """rho_vol(s) = integral_0^s div_omega H_P along the bicharacteristic (Simpson)."""
     if s < 0 or s > bichar.s_max + 1e-12:
         raise DomainError("parameter outside the bicharacteristic range")
     if s == 0:
         return 0.0
-    if isinstance(omega_spec, FlatDensity):
-        return 0.0
-    m = n_quad + (n_quad % 2)  # Simpson needs an even interval count
+    m = VOLUME_INTERVALS
     nodes = np.linspace(0.0, s, m + 1)
-    xs, xis = bichar.state(nodes)
-    vals = np.array([omega_spec.divergence(x, xi) for x, xi in zip(xs, xis)])
+    vals = omega_spec.divergence(*bichar.state(nodes))
     w = np.ones(m + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -197,9 +184,8 @@ def transport_symbol(metric, connection, bichar, sigma0, s, omega_spec=None, h=1
         return SymbolState(sigma0.value.copy(), sigma0.degree)
     params, hs = _stage_params(0.0, s, h)
     xs, vs = bichar.to_segment().state(params)
-    k1, k2 = np.split(-connection.pairing_batch(xs, vs), 2)
-    xis = np.stack([metric.matrix(x) @ v for x, v in zip(xs, vs)])
-    f = np.array([omega_spec.divergence(x, xi) for x, xi in zip(xs, xis)])
+    k1, k2 = np.split(-connection.pairing(xs, vs), 2)
+    f = omega_spec.divergence(xs, metric.flat(xs, vs))
     # the CF4 weights of each step sum to 1/2 per node, so the scalar
     # factors multiply to one exponential of the Gauss-node sum
     scalar = math.exp(-0.5 * hs * float(np.sum(f)))
@@ -246,25 +232,13 @@ def homogeneity_residual(metric, connection, x, xi, s, lam, mu, c, h=1e-3):
 def _orthonormal_frame(metric, y):
     """Columns e_0..e_{d-1}: g(e_0,e_0) = -1, g(e_a,e_b) = delta_ab.
 
-    Exact identity on Minkowski/cylinder; for diagonal warped metrics a
-    rescaled coordinate frame.
+    The rescaled coordinate frame: every metric of the package is
+    diagonal (the identity on Minkowski and the cylinder).
     """
     g = metric.matrix(y)
-    if np.allclose(g, np.diag(np.diag(g))):
-        scale = 1.0 / np.sqrt(np.abs(np.diag(g)))
-        return np.diag(scale)
-    # Gram-Schmidt against g, starting from the coordinate frame
-    dim = metric.dim
-    frame = np.eye(dim)
-    e0 = frame[:, 0] / math.sqrt(-float(frame[:, 0] @ g @ frame[:, 0]))
-    cols = [e0]
-    for a in range(1, dim):
-        v = frame[:, a].astype(float)
-        v = v + (v @ g @ e0) * e0  # project out the timelike direction (note sign)
-        for e in cols[1:]:
-            v = v - (v @ g @ e) * e
-        cols.append(v / math.sqrt(float(v @ g @ v)))
-    return np.stack(cols, axis=1)
+    if not np.allclose(g, np.diag(np.diag(g))):
+        raise CapabilityError(f"orthonormal frames need a diagonal metric, not {metric.name}")
+    return np.diag(1.0 / np.sqrt(np.abs(np.diag(g))))
 
 
 def causally_independent(metric, a, b):

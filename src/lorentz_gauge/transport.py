@@ -47,7 +47,7 @@ def _stage_generators(connection, segment, a, b, h):
     """
     params, hs = _stage_params(a, b, h)
     xs, vs = segment.state(params)
-    k1, k2 = np.split(-connection.pairing_batch(xs, vs), 2)
+    k1, k2 = np.split(-connection.pairing(xs, vs), 2)
     return k1, k2, hs
 
 
@@ -114,15 +114,14 @@ def check_group_property(metric, connection, segment, a, b, c, h=1e-3):
     return float(np.linalg.norm(p_bc @ p_ab - p_ac))
 
 
-def check_reversal(metric, connection, y, v, s0, h=1e-3, h_geo=None):
+def check_reversal(metric, connection, y, v, s0, h=1e-3):
     """|| P along gamma_{y,-v} over [0, -s0] - P along gamma_{y,v} over [0, s0] ||.
 
     Both transports run from y to gamma_{y,v}(s0); the first traverses
     the reversed parameterization, so the residual quantifies the
     change-of-variables identity.
     """
-    if h_geo is None:
-        h_geo = min(1e-2, s0 / 50)
+    h_geo = min(1e-2, s0 / 50)
     fwd = integrate_geodesic(metric, y, v, s0, h=h_geo)
     rev = integrate_geodesic(metric, y, -np.asarray(v, dtype=float), 0.0, h=h_geo, s_min=-s0)
     p_fwd = parallel_transport(metric, connection, fwd, 0.0, s0, h=h)
@@ -201,8 +200,16 @@ class BrokenRayQuery:
         return cls(obj["y"], obj["v"], obj["w"], obj["s_in"], obj["s_out"])
 
 
-def validate_query(metric, q, observation, cache=None, tol_cut=1e-6):
-    """Raise AdmissibilityError naming the first violated condition."""
+# slack kept by a leg parameter below its cut time
+TOL_CUT = 1e-6
+
+
+def validate_query(metric, q, observation, cache=None):
+    """Raise AdmissibilityError naming the first violated condition.
+
+    With an observation set, returns the leg segments whose endpoints it
+    tested, as ``leg_segments`` builds them; else None.
+    """
     y = metric.validate_point(q.y)
     for name, vec, sign in (("v", q.v, -1.0), ("w", q.w, 1.0)):
         if abs(metric.inner(y, vec, vec)) > 1e-8 * max(1.0, float(vec @ vec)):
@@ -218,16 +225,18 @@ def validate_query(metric, q, observation, cache=None, tol_cut=1e-6):
         raise AdmissibilityError("leg parameters must be positive")
     if cache is None:
         cache = CutTimeCache(metric)
-    if q.s_in >= cache.cut_time(y, q.v) - tol_cut:
+    if q.s_in >= cache.cut_time(y, q.v) - TOL_CUT:
         raise AdmissibilityError("s_in exceeds the incoming cut time")
-    if q.s_out >= cache.cut_time(y, q.w) - tol_cut:
+    if q.s_out >= cache.cut_time(y, q.w) - TOL_CUT:
         raise AdmissibilityError("s_out exceeds the outgoing cut time")
-    if observation is not None:
-        seg_in, seg_out = leg_segments(metric, q)
-        if not observation.contains(seg_in.endpoint):
-            raise AdmissibilityError("incoming endpoint outside the observation set")
-        if not observation.contains(seg_out.endpoint):
-            raise AdmissibilityError("outgoing endpoint outside the observation set")
+    if observation is None:
+        return None
+    seg_in, seg_out = leg_segments(metric, q)
+    if not observation.contains(seg_in.endpoint):
+        raise AdmissibilityError("incoming endpoint outside the observation set")
+    if not observation.contains(seg_out.endpoint):
+        raise AdmissibilityError("outgoing endpoint outside the observation set")
+    return seg_in, seg_out
 
 
 def leg_segments(metric, q):
@@ -244,7 +253,10 @@ def transform_legs(metric, connection, q, h=1e-3):
     future-reparameterized incoming leg; P_out from y to
     gamma_{y,w}(s_out). Admissibility is decided on the same segments.
     """
-    seg_in, seg_out = leg_segments(metric, q)
+    return _transport_legs(metric, connection, q, *leg_segments(metric, q), h)
+
+
+def _transport_legs(metric, connection, q, seg_in, seg_out, h):
     # transport from parameter s_in down to 0 equals the transport along
     # gamma_{x, xi} with xi = -gamma'_{y,v}(s_in), per the change of variables
     p_in = parallel_transport(metric, connection, seg_in, q.s_in, 0.0, h=h)
@@ -253,11 +265,13 @@ def transform_legs(metric, connection, q, h=1e-3):
 
 
 def broken_transform(metric, connection, q, observation=None, cache=None, h=1e-3,
-                     validate=True, tol_cut=1e-6):
-    """S^A(q) = P_out . P_in (outgoing after incoming)."""
-    if validate:
-        validate_query(metric, q, observation, cache=cache, tol_cut=tol_cut)
-    p_in, p_out = transform_legs(metric, connection, q, h=h)
+                     validate=True):
+    """S^A(q) = P_out . P_in (outgoing after incoming).
+
+    The legs that validation integrated are the legs transported.
+    """
+    legs = validate_query(metric, q, observation, cache=cache) if validate else None
+    p_in, p_out = _transport_legs(metric, connection, q, *(legs or leg_segments(metric, q)), h)
     return p_out @ p_in
 
 

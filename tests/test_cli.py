@@ -184,3 +184,39 @@ def test_log_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("LORENTZ_GAUGE_LOG", "debug")
     code, _ = run(tmp_path, "geodesic")
     assert code == 0
+
+
+CYLINDER = {"metric": {"kind": "cylinder"}}
+
+
+def test_broken_on_cylinder_exits_by_contract(tmp_path, capsys):
+    code, _ = run(tmp_path, "broken", extra=CYLINDER)
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_interaction_on_cylinder_is_usage_error(tmp_path, capsys):
+    code, _ = run(tmp_path, "interaction", extra=CYLINDER)
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "two spatial dimensions" in err
+
+
+def test_interaction_vertex_of_wrong_length_is_usage_error(tmp_path, capsys):
+    code, _ = run(tmp_path, "interaction", extra={"interaction": {"y": [3.0, 0.2, 0.1, 0.0]}})
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "$.interaction.y" in err
+
+
+@pytest.mark.parametrize("vertex", [[5.9, 3.0, 0.1], [3.0, 0.8, 0.1]],
+                         ids=["no-common-source-parameter", "outgoing-leg-leaves-the-set"])
+def test_interaction_geometry_failure_is_a_failed_check(tmp_path, capsys, vertex):
+    code, out = run(tmp_path, "interaction", extra={"interaction": {"y": vertex}})
+    assert code == 1
+    assert "interaction_geometry" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    checks = {c["name"]: c for c in report["results"]["interaction"]["checks"]}
+    assert not checks["interaction_geometry"]["pass"]

@@ -71,7 +71,7 @@ def test_pairing_batch_matches_loop(rng):
     a = random_connection(DIM, N, rng)
     xs = rng.uniform(-1, 1, (7, DIM))
     vs = rng.standard_normal((7, DIM))
-    batch = a.pairing_batch(xs, vs)
+    batch = a.pairing(xs, vs)
     for i in range(7):
         assert np.allclose(batch[i], a.pairing(xs[i], vs[i]))
 
@@ -166,7 +166,7 @@ def test_gauged_connection_batch(rng):
     b = gauge_act(a, phi)
     xs = rng.uniform(-1, 1, (6, DIM))
     vs = rng.standard_normal((6, DIM))
-    batch = b.pairing_batch(xs, vs)
+    batch = b.pairing(xs, vs)
     for i in range(6):
         assert np.allclose(batch[i], b.pairing(xs[i], vs[i]), atol=1e-12)
 

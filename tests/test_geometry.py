@@ -47,7 +47,69 @@ def warped_cosine():
     return WarpedProduct(3, beta, beta_time_only=True)
 
 
+def warped_spatial():
+    """Warp beta = 1 + 0.3 cos(t/2 + x/3) with a g0_diag spatial factor, 2+1."""
+    beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 1 / 3, 0.0], 0.0)])
+    g0 = [ScalarExpansion(3, constant=1.0, waves=[(0.2, [0.3, 0.0, 0.7], 0.4)]),
+          ScalarExpansion(3, constant=1.5, waves=[(0.4, [0.0, 0.6, 0.2], 1.1)])]
+    return WarpedProduct(3, beta, g0_diag=g0)
+
+
 # -- metric basics ----------------------------------------------------------
+
+METRICS = [Minkowski(3), Cylinder(), warped_cosine(), warped_spatial()]
+METRIC_IDS = ["minkowski", "cylinder", "time-only-warp", "g0-warp"]
+
+
+def _point_loop(method, *arrays):
+    """method applied point by point over the leading axes of the arrays."""
+    lead = arrays[0].shape[:-1]
+    flat = [a.reshape(-1, a.shape[-1]) for a in arrays]
+    out = np.array([method(*row) for row in zip(*flat)])
+    return out.reshape(lead + out.shape[1:])
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=METRIC_IDS)
+@pytest.mark.parametrize("lead", [(5,), (4, 3)])
+def test_batched_metric_methods_match_point_loop(rng, metric, lead):
+    x = rng.uniform(-1.5, 1.5, lead + (metric.dim,))
+    u = rng.standard_normal(lead + (metric.dim,))
+    v = rng.standard_normal(lead + (metric.dim,))
+    for name in ("matrix", "inverse", "partials", "christoffel", "in_chart"):
+        method = getattr(metric, name)
+        got, loop = method(x), _point_loop(method, x)
+        assert got.shape == loop.shape
+        np.testing.assert_allclose(got, loop, rtol=1e-14, atol=1e-15)
+    for name in ("flat", "sharp", "geodesic_acceleration"):
+        method = getattr(metric, name)
+        np.testing.assert_allclose(method(x, v), _point_loop(method, x, v),
+                                   rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(metric.inner(x, u, v), _point_loop(metric.inner, x, u, v),
+                               rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("metric", [warped_cosine(), warped_spatial()],
+                         ids=["time-only-warp", "g0-warp"])
+def test_geodesic_acceleration_closed_form_matches_christoffel(rng, metric):
+    x = rng.uniform(-3.0, 3.0, (200, metric.dim))
+    v = rng.standard_normal((200, metric.dim))
+    ref = -np.einsum("...ijk,...j,...k->...i", metric.christoffel(x), v, v)
+    got = metric.geodesic_acceleration(x, v)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_geodesic_acceleration_flat_is_zero(rng):
+    for metric in (Minkowski(4), Cylinder()):
+        x = rng.standard_normal((6, metric.dim))
+        assert np.array_equal(metric.geodesic_acceleration(x, x), np.zeros_like(x))
+
+
+def test_null_residual_matches_sample_loop():
+    m = warped_cosine()
+    y = np.array([1.0, 0.2, -0.3])
+    seg = integrate_geodesic(m, y, null_vector(m, y, np.array([0.6, 0.8])), 2.0, h=1e-2)
+    loop = max(abs(m.inner(x, v, v)) for x, v in zip(seg.x, seg.v))
+    assert seg.null_residual() == pytest.approx(loop, rel=1e-14, abs=1e-300)
 
 
 def test_minkowski_matrix():

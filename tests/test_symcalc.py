@@ -6,7 +6,13 @@ import pytest
 from lorentz_gauge.errors import DomainError, GeometryError
 from lorentz_gauge.expansions import ScalarExpansion
 from lorentz_gauge.gauge import ConnectionField, gauge_act, random_connection, random_gauge
-from lorentz_gauge.geometry import Minkowski, ObservationSet, WarpedProduct, integrate_geodesic
+from lorentz_gauge.geometry import (
+    GeodesicSegment,
+    Minkowski,
+    ObservationSet,
+    WarpedProduct,
+    integrate_geodesic,
+)
 from lorentz_gauge.linalg import normalize_phase_scale
 from lorentz_gauge.symcalc import (
     Bicharacteristic,
@@ -26,7 +32,7 @@ from lorentz_gauge.symcalc import (
     volume_factor,
     wave_symbols,
 )
-from lorentz_gauge.transport import broken_transform
+from lorentz_gauge.transport import _cf4_product, _stage_params, broken_transform
 
 M3 = Minkowski(3)
 M4 = Minkowski(4)
@@ -168,6 +174,56 @@ def test_symbol_homogeneity(rng):
         M3, a, np.zeros(3), np.array([-1.0, 1.0, 0.0]), 1.5, 2.0, 0.7, unit_c(rng)
     )
     assert res < 1e-6
+
+
+def warped_bichar():
+    """A bicharacteristic of the time-only warp beta = 1 + 0.3 cos(t/2) in 2+1."""
+    beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
+    m = WarpedProduct(3, beta, beta_time_only=True)
+    x0 = np.array([1.0, 0.2, -0.1])
+    xi0 = np.array([-math.sqrt(float(beta.value(x0))), 0.6, 0.8])
+    return m, integrate_bicharacteristic(m, x0, xi0, 1.5, h=1e-2)
+
+
+def test_bicharacteristic_batched_matches_sample_loop():
+    m, b = warped_bichar()
+    ham = np.array([0.5 * xi @ m.inverse(x) @ xi for x, xi in zip(b.x, b.xi)])
+    assert b.hamiltonian_drift() == pytest.approx(float(np.max(np.abs(ham - ham[0]))),
+                                                  rel=1e-12, abs=1e-18)
+    seg = b.to_segment()
+    loop_v = np.stack([m.inverse(x) @ xi for x, xi in zip(b.x, b.xi)])
+    np.testing.assert_allclose(seg.v, loop_v, rtol=1e-15, atol=0)
+    nodes = np.linspace(0.0, 1.5, 7)
+    xs, xis = b.state(nodes)
+    for s, x, xi in zip(nodes, xs, xis):
+        xs1, vs1 = seg.state(s)
+        np.testing.assert_allclose(x, xs1, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(xi, m.matrix(xs1) @ vs1, rtol=1e-15, atol=0)
+
+
+def test_transport_symbol_log_density_matches_node_loop(rng):
+    m, b = warped_bichar()
+    a = random_connection(3, 2, rng, amplitude=0.5)
+    calls = []
+
+    def f(x, xi):
+        calls.append(len(x))
+        return 0.3 * math.cos(x[0]) + 0.1 * xi[1]
+
+    s0 = SymbolState(unit_c(rng))
+    got = transport_symbol(m, a, b, s0, 1.5, omega_spec=LogDerivativeDensity(f), h=1e-2)
+    assert calls and set(calls) == {3}  # f is called with one point at a time
+    # the same CF4 steps with every node evaluated on its own
+    seg = GeodesicSegment(m, b.s, b.x, np.stack([m.inverse(x) @ xi for x, xi in zip(b.x, b.xi)]))
+    params, hs = _stage_params(0.0, 1.5, 1e-2)
+    k, div = [], []
+    for p in params:
+        x, v = seg.state(p)
+        k.append(-a.pairing(x, v))
+        div.append(f(x, m.matrix(x) @ v))
+    k1, k2 = np.split(np.array(k), 2)
+    ref = math.exp(-0.5 * hs * sum(div)) * (_cf4_product(k1, k2, hs) @ s0.value)
+    np.testing.assert_allclose(got.value, ref, rtol=1e-13, atol=1e-15)
 
 
 # -- interaction geometry -----------------------------------------------------

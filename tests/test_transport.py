@@ -318,6 +318,28 @@ def test_validation_sees_the_transported_legs(monkeypatch):
     assert np.array_equal(checked, ends)
 
 
+def test_validated_broken_transform_integrates_each_leg_once(monkeypatch):
+    import lorentz_gauge.transport as tr
+
+    beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
+    m = WarpedProduct(3, beta, beta_time_only=True)
+    y = np.array([3.0, 0.2, 0.1])
+    v = null_vector(m, y, np.array([1.0, 0.0]), time_sign=-1.0)
+    w = null_vector(m, y, np.array([0.0, 1.0]))
+    q = BrokenRayQuery(y, v, w, 1.0, 1.0)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return integrate_geodesic(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "integrate_geodesic", counting)
+    s = broken_transform(m, random_connection(3, 2, np.random.default_rng(3)), q,
+                         observation=ObservationSet(m, T=6.0, radius=2.0))
+    assert calls == [1.0, 1.0]
+    assert unitarity_residual(s) < 1e-12
+
+
 def test_batch_roundtrip(tmp_path, rng):
     a = random_connection(DIM, 2, rng)
     queries = [good_query(s_out=1.0 + 0.05 * i) for i in range(6)]
