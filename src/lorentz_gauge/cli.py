@@ -296,12 +296,12 @@ def run_interaction(fx, params, out_dir, strict):
         for geom in geoms.values():
             worst_kappa_res = max(worst_kappa_res, geom.kappa_residual)
             min_kappa = min(min_kappa, float(np.min(geom.kappa)))
-        for _ in range(int(params["n_vectors"])):
-            c = fx.unit_vector()
-            outs = []
-            for r in sorted(r_sweep, reverse=True):
-                vec, _ = simulated_measurement(fx.metric, conn, geoms[r], c, s_out)
-                outs.append(normalize_phase_scale(vec))
+        cs = np.array([fx.unit_vector() for _ in range(int(params["n_vectors"]))])
+        # vecs[i][j]: the measurement of the i-th largest r on the j-th vector
+        vecs = [simulated_measurement(fx.metric, conn, geoms[r], cs, s_out)[0]
+                for r in sorted(r_sweep, reverse=True)]
+        for j, c in enumerate(cs):
+            outs = [normalize_phase_scale(vec[j]) for vec in vecs]
             diffs = [float(np.linalg.norm(outs[i + 1] - outs[i])) for i in range(len(outs) - 1)]
             if any(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:])):
                 cauchy_ok = False

@@ -371,82 +371,109 @@ def _hermite(p0, m0, p1, m1, t):
 
 
 def _rk4_march(metric, x0, v0, s_stop, n_steps, rhs=None):
-    """Fixed-step RK4 of (x, v)' = rhs(metric, x, v) from parameter 0 to s_stop.
+    """Fixed-step RK4 of (x, v)' = rhs(metric, x, v) for a stack of rays.
 
-    The default rhs is the geodesic equation (v, metric.geodesic_acceleration).
-    The sign of s_stop sets the direction; the march stops early when x
-    leaves the chart.
+    Ray r starts at (x0[r], v0[r]) with parameter 0 and takes n_steps[r]
+    steps of s_stop[r] / n_steps[r]; the sign of s_stop sets its direction.
+    The default rhs is the geodesic equation (v, metric.geodesic_acceleration),
+    evaluated over the leading axis of the rays still marching.  A ray
+    stops early, truncated, when its point stops being finite or leaves
+    the chart.  Returns one (xs, vs, truncated) per ray.
     """
     rhs = rhs or (lambda metric, x, v: (v, metric.geodesic_acceleration(x, v)))
-    h = s_stop / n_steps
-    xs = np.empty((n_steps + 1, metric.dim))
-    vs = np.empty((n_steps + 1, metric.dim))
-    xs[0], vs[0] = x0, v0
-    x, v = x0.copy(), v0.copy()
-    truncated = False
-    count = n_steps
-    for i in range(n_steps):
+    n_steps = np.asarray(n_steps, dtype=int)
+    h = (np.asarray(s_stop, dtype=float) / n_steps)[:, None]
+    n_rays = len(n_steps)
+    xs = np.empty((n_rays, int(n_steps.max(initial=0)) + 1, x0.shape[-1]))
+    vs = np.empty_like(xs)
+    xs[:, 0], vs[:, 0] = x0, v0
+    count = n_steps.copy()
+    truncated = np.zeros(n_rays, dtype=bool)
+    live = np.arange(n_rays)
+    x, v = x0, v0
+    for i in range(xs.shape[1] - 1):
+        # the rays that have taken all their steps drop out of the stack
+        going = n_steps[live] > i
+        if not going.all():
+            live, x, v, h = live[going], x[going], v[going], h[going]
         k1x, k1v = rhs(metric, x, v)
         k2x, k2v = rhs(metric, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
         k3x, k3v = rhs(metric, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
         k4x, k4v = rhs(metric, x + h * k3x, v + h * k3v)
         x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not (np.all(np.isfinite(x)) and metric.in_chart(x)):
-            truncated = True
-            count = i
-            break
-        xs[i + 1], vs[i + 1] = x, v
-    return xs[: count + 1], vs[: count + 1], truncated
+        ok = np.isfinite(x).all(axis=-1) & metric.in_chart(x)
+        if not ok.all():
+            truncated[live[~ok]] = True
+            count[live[~ok]] = i
+            live, x, v, h = live[ok], x[ok], v[ok], h[ok]
+        xs[live, i + 1], vs[live, i + 1] = x, v
+    return [(xs[r, : count[r] + 1], vs[r, : count[r] + 1], bool(truncated[r]))
+            for r in range(n_rays)]
+
+
+def integrate_geodesics(metric, x0s, v0s, s_max, h, s_min=0.0):
+    """Integrate the geodesics through the rows of (x0s, v0s) over [s_min, s_max].
+
+    x0s and v0s are (R, dim) stacks; s_max, h and s_min are scalars or one
+    value per ray, and each range must contain the start parameter 0.
+    Flat metrics take the exact straight-line path; otherwise one
+    fixed-step RK4 march carries every ray, each with step size at most
+    its h, backward to s_min and forward to s_max.  ``truncated`` is set
+    on a returned segment if its trajectory leaves the chart early.
+    Returns one GeodesicSegment per ray.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    v0s = np.asarray(v0s, dtype=float)
+    if x0s.ndim != 2 or x0s.shape[1] != metric.dim:
+        raise DomainError(f"start points have shape {x0s.shape}, expected (R, {metric.dim})")
+    if v0s.shape != x0s.shape:
+        raise DomainError("initial velocities have wrong shape")
+    for x0 in x0s:
+        metric.validate_point(x0)
+    n_rays = len(x0s)
+    s_max, h, s_min = (np.zeros(n_rays) + a for a in (s_max, h, s_min))
+    lows, highs, steps = s_min.tolist(), s_max.tolist(), h.tolist()
+    if max(lows, default=0.0) > 0 or min(highs, default=0.0) < 0:
+        raise DomainError("the parameter range [s_min, s_max] must contain 0")
+    if min(steps, default=1.0) <= 0:
+        raise DomainError("step size must be positive")
+    if metric.is_flat:
+        segments = []
+        for x0, v0, lo, hi, hr in zip(x0s, v0s, lows, highs, steps):
+            n = max(2, int(math.ceil((hi - lo) / hr)) + 1)
+            s = np.linspace(lo, hi, n)
+            segments.append(GeodesicSegment(metric, s, x0 + s[:, None] * v0,
+                                            np.broadcast_to(v0, (n, metric.dim)).copy()))
+        return segments
+    # one march: the backward rays of negative s_min, then the forward rays
+    back, fwd = np.flatnonzero(s_min < 0), np.flatnonzero(s_max > 0)
+    rays = np.concatenate([back, fwd])
+    s_stop = np.concatenate([s_min[back], s_max[fwd]])
+    n_steps = np.maximum(1, np.ceil(np.abs(s_stop) / h[rays])).astype(int)
+    marched = [(np.linspace(0, s, n + 1)[: len(xs)], xs, vs, tr) for s, n, (xs, vs, tr)
+               in zip(s_stop, n_steps, _rk4_march(metric, x0s[rays], v0s[rays], s_stop, n_steps))]
+    backward = dict(zip(back, marched[: len(back)]))
+    forward = dict(zip(fwd, marched[len(back):]))
+    segments = []
+    for r in range(n_rays):
+        s, xs, vs, tr = forward.get(r, (np.zeros(1), x0s[r:r + 1], v0s[r:r + 1], False))
+        if r in backward:  # reversed, without its copy of the start point
+            sb, xb, vb, trb = backward[r]
+            s, xs, vs = (np.concatenate([sb[:0:-1], s]), np.concatenate([xb[:0:-1], xs]),
+                         np.concatenate([vb[:0:-1], vs]))
+            tr = tr or trb
+        segments.append(GeodesicSegment(metric, s, xs, vs, truncated=tr))
+    return segments
 
 
 def integrate_geodesic(metric, x0, v0, s_max, h=1e-2, s_min=0.0):
     """Integrate the geodesic through (x0, v0) over [s_min, s_max].
 
-    Flat metrics take the exact straight-line path; otherwise fixed-step
-    RK4 with step size at most h. ``truncated`` is set on the returned
-    segment if the trajectory leaves the chart early.
+    The one-ray call of ``integrate_geodesics``.
     """
-    x0 = metric.validate_point(x0)
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (metric.dim,):
-        raise DomainError("initial velocity has wrong shape")
-    if s_max < s_min:
-        raise DomainError("s_max must be >= s_min")
-    if h <= 0:
-        raise DomainError("step size must be positive")
-    if metric.is_flat:
-        n = max(2, int(math.ceil((s_max - s_min) / h)) + 1)
-        s = np.linspace(s_min, s_max, n)
-        xs = x0 + s[:, None] * v0
-        vs = np.broadcast_to(v0, xs.shape).copy()
-        return GeodesicSegment(metric, s, xs, vs)
-    truncated = False
-    parts_s, parts_x, parts_v = [], [], []
-    if s_min < 0:
-        n_back = max(1, int(math.ceil(-s_min / h)))
-        xs, vs, tr = _rk4_march(metric, x0, v0, s_min, n_back)
-        truncated |= tr
-        s_back = np.linspace(0, s_min, n_back + 1)[: len(xs)]
-        parts_s.append(s_back[::-1][:-1])
-        parts_x.append(xs[::-1][:-1])
-        parts_v.append(vs[::-1][:-1])
-    if s_max > 0:
-        n_fwd = max(1, int(math.ceil(s_max / h)))
-        xs, vs, tr = _rk4_march(metric, x0, v0, s_max, n_fwd)
-        truncated |= tr
-        s_fwd = np.linspace(0, s_max, n_fwd + 1)[: len(xs)]
-        parts_s.append(s_fwd)
-        parts_x.append(xs)
-        parts_v.append(vs)
-    else:
-        parts_s.append(np.array([min(0.0, s_max) * 0.0]))
-        parts_x.append(x0[None])
-        parts_v.append(v0[None])
-    s = np.concatenate(parts_s)
-    xs = np.concatenate(parts_x)
-    vs = np.concatenate(parts_v)
-    return GeodesicSegment(metric, s, xs, vs, truncated=truncated)
+    return integrate_geodesics(metric, np.asarray(x0, dtype=float)[None],
+                               np.asarray(v0, dtype=float)[None], s_max, h, s_min)[0]
 
 
 def null_vector(metric, x, spatial_dir, time_sign=1.0):
@@ -686,7 +713,7 @@ def _endpoint(metric, x, v, s):
     if metric.is_flat:
         return x + s * v
     n = max(8, int(math.ceil(abs(s) / SHOOT_STEP)))
-    xs, _, truncated = _rk4_march(metric, x, v, s, n)
+    [(xs, _, truncated)] = _rk4_march(metric, x[None], v[None], [s], [n])
     if truncated:
         return np.full(metric.dim, 1e6)
     return xs[-1]

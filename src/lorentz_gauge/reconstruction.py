@@ -28,6 +28,7 @@ from .geometry import (
     WorldLine,
     earliest_obs_time,
     integrate_geodesic,
+    integrate_geodesics,
     unit_directions,
 )
 from .linalg import polar_project, unitarity_residual
@@ -72,9 +73,8 @@ class TransformOracle:
             cache=self.cache, h=self.h,
         )
 
-    def out_leg(self, y, w, s_out):
-        """P along gamma_{y,w}([0, s_out])."""
-        seg = integrate_geodesic(self.metric, y, w, s_out, h=min(1e-2, s_out / 50))
+    def out_leg(self, seg, s_out):
+        """P along the outgoing leg segment gamma_{y,w} over [0, s_out]."""
         return parallel_transport(self.metric, self.connection, seg, 0.0, s_out, h=self.h)
 
     def in_leg(self, y, v, s_in):
@@ -84,6 +84,7 @@ class TransformOracle:
 
 
 def _validate_out_leg(metric, y, w, s_out, observation, cache):
+    """The segment gamma_{y,w}([0, s_out]) of an admissible outgoing leg."""
     y = metric.validate_point(y)
     w = np.asarray(w, dtype=float)
     if abs(metric.inner(y, w, w)) > 1e-8 * max(1.0, float(w @ w)):
@@ -96,10 +97,10 @@ def _validate_out_leg(metric, y, w, s_out, observation, cache):
         cache = CutTimeCache(metric)
     if s_out >= cache.cut_time(y, w) - TOL_CUT:
         raise AdmissibilityError("s'' exceeds the outgoing cut time")
-    if observation is not None:
-        end = integrate_geodesic(metric, y, w, s_out, h=min(1e-2, s_out / 50)).endpoint
-        if not observation.contains(end):
-            raise AdmissibilityError("outgoing endpoint outside the observation set")
+    seg = integrate_geodesic(metric, y, w, s_out, h=min(1e-2, s_out / 50))
+    if observation is not None and not observation.contains(seg.endpoint):
+        raise AdmissibilityError("outgoing endpoint outside the observation set")
+    return seg
 
 
 def _honest_incoming_query(metric, observation, y, w, s_out):
@@ -141,10 +142,10 @@ def gauge_candidate(metric, oracle_a, oracle_b, y, w, s_out, observation=None,
     """
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    _validate_out_leg(metric, y, w, s_out, observation, cache)
+    seg = _validate_out_leg(metric, y, w, s_out, observation, cache)
     if mode == "synthetic":
-        pa = oracle_a.out_leg(y, w, s_out)
-        pb = oracle_b.out_leg(y, w, s_out)
+        pa = oracle_a.out_leg(seg, s_out)
+        pb = oracle_b.out_leg(seg, s_out)
         return polar_project(np.conj(pb.T) @ pa)
     if mode != "honest":
         raise DomainError("mode must be 'synthetic' or 'honest'")
@@ -257,16 +258,21 @@ def _admissible_out_legs(metric, observation, y, k, cache):
         u = d / nrm if nrm > 1e-9 else unit_directions(nsp, 1)[0]
         if all(np.linalg.norm(u - u0) > 1e-9 for u0 in dirs):
             dirs.append(u)
-    found = []
     t_room = observation.T - y[0]
     if t_room <= LEG_SCAN_MARGIN:
-        return found
+        return []
+    aims = []
     for u in dirs:
         w = frame @ np.concatenate([[1.0], u])
         s_hi = min(t_room * 1.5, cache.cut_time(y, w) - 1e-6)
-        if s_hi <= LEG_SCAN_MARGIN:
-            continue
-        seg = integrate_geodesic(metric, y, w, s_hi, h=max(1e-2, s_hi / 400))
+        if s_hi > LEG_SCAN_MARGIN:
+            aims.append((w, s_hi))
+    if not aims:
+        return []
+    ws, s_his = (np.array(a) for a in zip(*aims))
+    found = []
+    for w, seg in zip(ws, integrate_geodesics(metric, np.tile(y, (len(ws), 1)), ws, s_his,
+                                              np.maximum(1e-2, s_his / 400))):
         s_out = observation.middle_inside(
             [seg], np.linspace(LEG_SCAN_MARGIN, seg.s_max, LEG_SCAN_POINTS), LEG_SCAN_MARGIN
         )

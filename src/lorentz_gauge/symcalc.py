@@ -28,6 +28,7 @@ from .geometry import (
     GeodesicSegment,
     _rk4_march,
     integrate_geodesic,
+    integrate_geodesics,
     null_vector,
     time_separation,
 )
@@ -72,9 +73,12 @@ class Bicharacteristic:
 
 
 def _bichar_rhs(metric, x, xi):
+    """Hamilton's equations over the leading axes of x and xi."""
     ginv = metric.inverse(x)
-    dginv = -ginv @ metric.partials(x) @ ginv  # d_k g^{ij} = -g^{il} (d_k g_lm) g^{mj}
-    return ginv @ xi, -0.5 * np.einsum("kij,i,j->k", dginv, xi, xi)
+    # d_k g^{ij} = -g^{il} (d_k g_lm) g^{mj}
+    dginv = -ginv[..., None, :, :] @ metric.partials(x) @ ginv[..., None, :, :]
+    return ((ginv @ xi[..., None])[..., 0],
+            -0.5 * np.einsum("...kij,...i,...j->...k", dginv, xi, xi))
 
 
 def integrate_bicharacteristic(metric, x0, xi0, s_max, h=1e-2):
@@ -92,7 +96,8 @@ def integrate_bicharacteristic(metric, x0, xi0, s_max, h=1e-2):
         xis = np.broadcast_to(xi0, xs.shape).copy()
         return Bicharacteristic(metric, s, xs, xis)
     m = max(1, int(math.ceil(s_max / h)))
-    xs, xis, truncated = _rk4_march(metric, x0, xi0, s_max, m, rhs=_bichar_rhs)
+    [(xs, xis, truncated)] = _rk4_march(metric, x0[None], xi0[None], [s_max], [m],
+                                        rhs=_bichar_rhs)
     s = np.linspace(0.0, s_max, m + 1)[: len(xs)]
     return Bicharacteristic(metric, s, xs, xis, truncated=truncated)
 
@@ -337,9 +342,8 @@ def build_interaction_geometry(metric, y, theta, r, observation, s_range=None):
     lo, hi = s_range
     if not lo < hi:
         raise GeometryError("empty s' search range")
-    segments = [
-        integrate_geodesic(metric, y, u, hi * 1.01, h=SOURCE_LEG_STEP) for u in w_legs
-    ]
+    segments = integrate_geodesics(metric, np.tile(y, (3, 1)), np.stack(w_legs), hi * 1.01,
+                                   SOURCE_LEG_STEP)
     s_in = observation.middle_inside(segments, np.linspace(lo, hi, S_SCAN_POINTS),
                                      S_SCAN_MARGIN)
     if s_in is None:
@@ -366,13 +370,22 @@ def build_interaction_geometry(metric, y, theta, r, observation, s_range=None):
 
 
 def interaction_symbol(sigma1, sigma2, sigma3, scale_factor=1.0):
-    """Sum over S(3) of Re<sigma_t(1), sigma_t(2)> sigma_t(3), scaled."""
-    vals = (np.asarray(sigma1, dtype=complex), np.asarray(sigma2, dtype=complex),
-            np.asarray(sigma3, dtype=complex))
+    """Sum over S(3) of Re<sigma_t(1), sigma_t(2)> sigma_t(3), scaled.
+
+    The symbols are vectors over leading axes; <a, b> = a^H b, taken as a
+    stacked 1 x n by n x 1 product, which rounds like np.vdot of one pair.
+    """
+    vals = [np.asarray(s, dtype=complex) for s in (sigma1, sigma2, sigma3)]
     out = np.zeros_like(vals[0])
     for i, j, k in permutations(range(3)):
-        out = out + np.real(np.vdot(vals[i], vals[j])) * vals[k]
+        inner = (np.conj(vals[i])[..., None, :] @ vals[j][..., :, None])[..., 0, 0]
+        out = out + np.real(inner)[..., None] * vals[k]
     return scale_factor * out
+
+
+def _apply(p, c):
+    """p @ c for vectors c over leading axes, each rounded as the one product."""
+    return (p @ c[..., None])[..., 0]
 
 
 @dataclass
@@ -392,13 +405,16 @@ def simulated_measurement(metric, connection, geom, c_tilde, s_out, mu=0.0,
                           mode="fixed_r", h=1e-3, omega_spec=None):
     """Run the three-wave pipeline and return (vector, MeasurementScalar).
 
+    c_tilde is one unit vector (n,) or a stack (k, n); the vector returned
+    has its shape, and every transport is made once for the whole stack.
+
     mode="fixed_r": transport c_tilde from each source to the vertex
     along its leg, combine with interaction_symbol, transport outward.
     mode="limit": the analytic r -> 0 limit, the broken transform of the
     degenerate query applied to c_tilde.
     """
     c_tilde = np.asarray(c_tilde, dtype=complex)
-    if abs(np.linalg.norm(c_tilde) - 1.0) > 1e-9:
+    if np.any(np.abs(np.linalg.norm(c_tilde, axis=-1) - 1.0) > 1e-9):
         raise DomainError("c_tilde must be a unit vector")
     if omega_spec is None:
         omega_spec = FlatDensity()
@@ -419,7 +435,7 @@ def simulated_measurement(metric, connection, geom, c_tilde, s_out, mu=0.0,
 
     if mode == "limit":
         p_in = parallel_transport(metric, connection, geom.segments[0], geom.s_in, 0.0, h=h)
-        vec = math.exp(-rho_out) * (p_out @ (p_in @ c_tilde))
+        vec = math.exp(-rho_out) * _apply(p_out, _apply(p_in, c_tilde))
         return vec, lam
 
     if mode != "fixed_r":
@@ -428,15 +444,29 @@ def simulated_measurement(metric, connection, geom, c_tilde, s_out, mu=0.0,
     # incoming symbols at the vertex: transport c_tilde from x_(j) to y
     # (leg 1 via the reversal identity, numerically the reversed-parameter
     # transport along the stored segment)
-    at_vertex = []
-    for seg in geom.segments:
-        p_in = parallel_transport(metric, connection, seg, geom.s_in, 0.0, h=h)
-        at_vertex.append(p_in @ c_tilde)
-    combined = interaction_symbol(*at_vertex)
-    vec = math.exp(-rho_out) * (p_out @ combined)
+    at_vertex = [
+        _apply(parallel_transport(metric, connection, seg, geom.s_in, 0.0, h=h), c_tilde)
+        for seg in geom.segments
+    ]
+    vec = math.exp(-rho_out) * _apply(p_out, interaction_symbol(*at_vertex))
     # the factor 6 of the permutation sum is part of the opaque scalar;
     # keep the raw vector and the scalar separate
     return vec, lam
+
+
+def _min_distance(a, b):
+    """Min of |a_i - b_j| over the rows of a and b.
+
+    The squared distances are summed one coordinate at a time, in the
+    order of a norm over the last axis, into one (len(a), len(b)) block;
+    the sqrt of their minimum is the minimum of the norms.
+    """
+    d2 = np.zeros((len(a), len(b)))
+    diff = np.empty_like(d2)
+    for k in range(a.shape[1]):
+        np.subtract.outer(a[:, k], b[:, k], out=diff)
+        d2 += np.square(diff, out=diff)
+    return float(np.sqrt(d2.min()))
 
 
 def flowout_disjointness(metric, geom, s_out, s0_cone, n_samples=24,
@@ -454,8 +484,7 @@ def flowout_disjointness(metric, geom, s_out, s0_cone, n_samples=24,
     out_pts = seg_out.position(np.linspace(0.0, s_out, 400))
     keep = np.linalg.norm(out_pts - geom.y, axis=1) > eps_excl
     out_pts = out_pts[keep]
-    length = geom.s_in + s_out
-    best = math.inf
+    starts, vels = [], []
     for x_src, xi in zip(geom.x_legs, geom.xi_legs):
         base = np.asarray(xi, dtype=float)
         for _ in range(n_samples):
@@ -464,15 +493,16 @@ def flowout_disjointness(metric, geom, s_out, s0_cone, n_samples=24,
             # perturb the spatial direction within the cone and re-null
             spatial = base[1:] / abs(base[0]) + s0_cone * pert
             v = null_vector(metric, x_src, spatial, time_sign=math.copysign(1.0, base[0]))
-            v = v * abs(base[0])
-            traj = integrate_geodesic(metric, x_src, v, length, h=min(h, length / 200))
-            pts = traj.position(np.linspace(0.0, length, 400))
-            near_y = np.linalg.norm(pts - geom.y, axis=1) <= eps_excl
-            pts = pts[~near_y]
-            if len(pts) == 0 or len(out_pts) == 0:
-                continue
-            d = np.min(
-                np.linalg.norm(pts[:, None, :] - out_pts[None, :, :], axis=2)
-            )
-            best = min(best, float(d))
+            starts.append(x_src)
+            vels.append(v * abs(base[0]))
+    length = geom.s_in + s_out
+    params = np.linspace(0.0, length, 400)
+    best = math.inf
+    for traj in integrate_geodesics(metric, np.stack(starts), np.stack(vels), length,
+                                    min(h, length / 200)):
+        pts = traj.position(params)
+        pts = pts[~(np.linalg.norm(pts - geom.y, axis=1) <= eps_excl)]
+        if len(pts) == 0 or len(out_pts) == 0:
+            continue
+        best = min(best, _min_distance(pts, out_pts))
     return best

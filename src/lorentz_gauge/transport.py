@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError
-from .geometry import integrate_geodesic, null_cut_time
+from .geometry import integrate_geodesics, null_cut_time
 from .linalg import expm_skew, polar_project, unitarity_residual
 
 SQRT3 = math.sqrt(3.0)
@@ -122,8 +122,9 @@ def check_reversal(metric, connection, y, v, s0, h=1e-3):
     change-of-variables identity.
     """
     h_geo = min(1e-2, s0 / 50)
-    fwd = integrate_geodesic(metric, y, v, s0, h=h_geo)
-    rev = integrate_geodesic(metric, y, -np.asarray(v, dtype=float), 0.0, h=h_geo, s_min=-s0)
+    v = np.asarray(v, dtype=float)
+    fwd, rev = integrate_geodesics(metric, np.stack([y, y]), np.stack([v, -v]), [s0, 0.0], h_geo,
+                                   s_min=[0.0, -s0])
     p_fwd = parallel_transport(metric, connection, fwd, 0.0, s0, h=h)
     p_rev = parallel_transport(metric, connection, rev, 0.0, -s0, h=h)
     return float(np.linalg.norm(p_rev - p_fwd))
@@ -242,8 +243,9 @@ def validate_query(metric, q, observation, cache=None):
 def leg_segments(metric, q):
     """The incoming and outgoing geodesic segments of a query, as transported."""
     h_geo = min(1e-2, min(q.s_in, q.s_out) / 50)
-    return (integrate_geodesic(metric, q.y, q.v, q.s_in, h=h_geo),
-            integrate_geodesic(metric, q.y, q.w, q.s_out, h=h_geo))
+    seg_in, seg_out = integrate_geodesics(metric, np.stack([q.y, q.y]), np.stack([q.v, q.w]),
+                                          [q.s_in, q.s_out], h_geo)
+    return seg_in, seg_out
 
 
 def transform_legs(metric, connection, q, h=1e-3):

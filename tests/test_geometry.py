@@ -15,6 +15,7 @@ from lorentz_gauge.geometry import (
     connect_null,
     earliest_obs_time,
     integrate_geodesic,
+    integrate_geodesics,
     null_cut_time,
     null_vector,
     time_separation,
@@ -218,6 +219,101 @@ def test_negative_parameter_range():
     pl, vl = seg.state(-0.2)
     fwd = integrate_geodesic(m, pl, vl, 0.2, h=1e-4)
     assert np.linalg.norm(fwd.endpoint - np.array([0.3, 0.0])) < 1e-8
+
+
+
+def _rk4_ray(metric, x0, v0, s_stop, h):
+    """One ray by the textbook loop: n equal steps to s_stop, stopping before
+    the first step whose point is not finite or leaves the chart."""
+    n = max(1, math.ceil(abs(s_stop) / h))
+    step = s_stop / n
+
+    def f(x, v):
+        return v, metric.geodesic_acceleration(x, v)
+
+    xs, vs = [x0], [v0]
+    x, v = x0, v0
+    truncated = False
+    for _ in range(n):
+        k1x, k1v = f(x, v)
+        k2x, k2v = f(x + 0.5 * step * k1x, v + 0.5 * step * k1v)
+        k3x, k3v = f(x + 0.5 * step * k2x, v + 0.5 * step * k2v)
+        k4x, k4v = f(x + step * k3x, v + step * k3v)
+        x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if not (np.all(np.isfinite(x)) and metric.in_chart(x)):
+            truncated = True
+            break
+        xs.append(x)
+        vs.append(v)
+    return np.linspace(0.0, s_stop, n + 1)[: len(xs)], np.array(xs), np.array(vs), truncated
+
+
+def _segment_by_rays(metric, x0, v0, s_max, h, s_min):
+    """The segment on [s_min, s_max] from one backward and one forward ray loop."""
+    s, xs, vs, truncated = np.zeros(1), x0[None], v0[None], False
+    if s_max > 0:
+        s, xs, vs, truncated = _rk4_ray(metric, x0, v0, s_max, h)
+    if s_min < 0:
+        sb, xb, vb, tb = _rk4_ray(metric, x0, v0, s_min, h)
+        s, xs, vs = (np.concatenate([sb[:0:-1], s]), np.concatenate([xb[:0:-1], xs]),
+                     np.concatenate([vb[:0:-1], vs]))
+        truncated = truncated or tb
+    return s, xs, vs, truncated
+
+
+def _assert_segments_match_rays(metric, x0s, v0s, s_max, h, s_min):
+    segments = integrate_geodesics(metric, x0s, v0s, s_max, h, s_min=s_min)
+    assert len(segments) == len(x0s)
+    for seg, args in zip(segments, zip(x0s, v0s, s_max, h, s_min)):
+        s, xs, vs, truncated = _segment_by_rays(metric, *args)
+        assert np.array_equal(seg.s, s)
+        assert np.array_equal(seg.x, xs)
+        assert np.array_equal(seg.v, vs)
+        assert seg.truncated == truncated
+    return segments
+
+
+@pytest.mark.parametrize("metric", [warped_cosine(), warped_spatial()],
+                         ids=["time-only", "g0_diag"])
+def test_integrate_geodesics_matches_ray_loop(metric):
+    # rays of different lengths and steps, backward ranges, and one range
+    # [-0.8, 0] that ends at its start point
+    x0s = np.array([[3.0, 0.2, 0.1], [2.5, -0.4, 0.3], [3.5, 0.0, -0.2], [3.0, 0.5, 0.5]])
+    v0s = np.array([[1.0, 0.6, 0.8], [-1.0, 0.8, -0.6], [1.0, 0.0, 1.0], [0.5, 0.3, -0.4]])
+    segments = _assert_segments_match_rays(metric, x0s, v0s, s_max=[1.0, 0.7, 0.0, 1.3],
+                                           h=[1e-2, 3e-2, 2e-2, 5e-2],
+                                           s_min=[0.0, -0.5, -0.8, -0.3])
+    assert [seg.s_min for seg in segments] == [0.0, -0.5, -0.8, -0.3]
+    assert [seg.s_max for seg in segments] == [1.0, 0.7, 0.0, 1.3]
+    assert not any(seg.truncated for seg in segments)
+
+
+def test_integrate_geodesics_truncates_one_ray_at_the_chart():
+    # beta = 1 + 1.2 cos(x^1) is negative for |x^1 - pi| < 0.59: the first
+    # ray's third step lands there, the others never come near
+    beta = ScalarExpansion(3, constant=1.0, waves=[(1.2, [0.0, 1.0, 0.0], 0.0)])
+    metric = WarpedProduct(3, beta, g0_diag=warped_spatial().g0_diag)
+    x0s = np.array([[0.0, 1.8, 0.0], [0.0, 0.0, 0.0], [0.5, -0.3, 0.2]])
+    v0s = np.array([[0.7, 1.0, 0.2], [1.0, 0.0, 0.5], [1.0, -0.2, 0.3]])
+    segments = _assert_segments_match_rays(metric, x0s, v0s, s_max=[2.0, 1.5, 1.0],
+                                           h=[0.2, 0.05, 0.1], s_min=[0.0, 0.0, -0.4])
+    assert [seg.truncated for seg in segments] == [True, False, False]
+    first = segments[0]
+    assert len(first.s) == 3 and np.all(metric.in_chart(first.x))
+    assert [seg.s_max for seg in segments[1:]] == [1.5, 1.0]
+
+
+@pytest.mark.parametrize("metric", [Minkowski(3), warped_cosine()], ids=["minkowski", "warped"])
+def test_integrate_geodesic_range_must_contain_start(metric):
+    x0 = np.array([3.0, 0.2, 0.1])
+    v = null_vector(metric, x0, np.array([1.0, 0.0]))
+    for s_max, s_min in ((-0.5, -1.0), (1.0, 0.5)):
+        with pytest.raises(DomainError):
+            integrate_geodesic(metric, x0, v, s_max, s_min=s_min)
+    seg = integrate_geodesic(metric, x0, v, 0.0, s_min=-1.0)
+    assert (seg.s_min, seg.s_max) == (-1.0, 0.0)
+    assert np.array_equal(seg.endpoint, x0)
 
 
 # -- causal structure ---------------------------------------------------------

@@ -9,7 +9,14 @@ from lorentz_gauge.gauge import (
     random_connection,
     random_gauge,
 )
-from lorentz_gauge.geometry import Minkowski, ObservationSet
+from lorentz_gauge.expansions import ScalarExpansion
+from lorentz_gauge.geometry import (
+    Minkowski,
+    ObservationSet,
+    WarpedProduct,
+    integrate_geodesic,
+    null_vector,
+)
 from lorentz_gauge.linalg import unitarity_residual
 from lorentz_gauge.reconstruction import (
     GaugeReconstruction,
@@ -81,6 +88,28 @@ def test_candidate_direction_independence(planted):
     c1 = gauge_candidate(M3, oa, ob, y, w1, 1.0, observation=OBS)
     c2 = gauge_candidate(M3, oa, ob, y, w2, 1.1, observation=OBS)
     assert np.linalg.norm(c1 - c2) < 1e-6
+
+
+def test_synthetic_candidate_integrates_its_leg_once(monkeypatch):
+    # the endpoint test and both oracles' transports share one segment
+    import lorentz_gauge.reconstruction as rec
+
+    beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
+    m = WarpedProduct(3, beta, beta_time_only=True)
+    obs = ObservationSet(m, T=6.0, radius=1.0)
+    rng = np.random.default_rng(5)
+    oa, ob = (TransformOracle(m, random_connection(DIM, N, rng), obs) for _ in range(2))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return integrate_geodesic(*args, **kwargs)
+
+    monkeypatch.setattr(rec, "integrate_geodesic", counting)
+    w = null_vector(m, Y_OUT, -Y_OUT[1:])
+    cand = gauge_candidate(m, oa, ob, Y_OUT, w, S_OUT, observation=obs)
+    assert calls == [S_OUT]
+    assert unitarity_residual(cand) < 1e-12
 
 
 def test_candidate_inadmissible_leg(planted):

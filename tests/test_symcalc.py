@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lorentz_gauge.geometry import (
     ObservationSet,
     WarpedProduct,
     integrate_geodesic,
+    null_vector,
 )
 from lorentz_gauge.linalg import normalize_phase_scale
 from lorentz_gauge.symcalc import (
@@ -389,10 +391,31 @@ def test_measurement_cauchy_in_r(rng):
     assert d2 < d1
 
 
+@pytest.mark.parametrize("mode", ["fixed_r", "limit"])
+def test_measurement_of_stacked_vectors_matches_vector_loop(rng, mode):
+    a = random_connection(3, 2, rng, amplitude=0.3)
+    geom = build_interaction_geometry(M3, Y0, math.pi / 3, 0.05, OBS)
+    cs = np.array([unit_c(rng) for _ in range(5)])
+    stacked, lam = simulated_measurement(M3, a, geom, cs, 0.6, mode=mode)
+    loop = [simulated_measurement(M3, a, geom, c, 0.6, mode=mode) for c in cs]
+    assert stacked.shape == cs.shape
+    assert np.array_equal(stacked, [vec for vec, _ in loop])
+    assert all(lam == other for _, other in loop)
+
+
+def test_interaction_symbol_stacked_matches_loop(rng):
+    vals = [rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)) for _ in range(3)]
+    loop = [interaction_symbol(*(v[i] for v in vals)) for i in range(4)]
+    assert np.array_equal(interaction_symbol(*vals), loop)
+
+
 def test_measurement_requires_unit_vector(rng):
     geom = build_interaction_geometry(M3, Y0, math.pi / 2, 0.1, OBS)
     with pytest.raises(DomainError):
         simulated_measurement(M3, ConnectionField.zero(3, 2), geom, np.array([2.0, 0.0]), 0.6)
+    with pytest.raises(DomainError):
+        simulated_measurement(M3, ConnectionField.zero(3, 2), geom,
+                              np.array([[1.0, 0.0], [2.0, 0.0]]), 0.6)
 
 
 # -- flowout disjointness -----------------------------------------------------
@@ -414,3 +437,54 @@ def test_flowout_vertex_on_both():
     d = flowout_disjointness(M3, geom, 0.6, 1e-9, n_samples=4, eps_excl=0.0)
     # limited by the 400-point sampling of each trajectory near y
     assert d < 5e-3
+
+
+def _flowout_by_norms(metric, geom, s_out, s0_cone, n_samples, eps_excl=0.05, h=1e-2):
+    """The flowout distance ray by ray, through the norm of a (N, M, dim) difference."""
+    rng = np.random.default_rng(0)
+    seg_out = integrate_geodesic(metric, geom.y, geom.w, s_out, h=min(h, s_out / 100))
+    out_pts = seg_out.position(np.linspace(0.0, s_out, 400))
+    out_pts = out_pts[np.linalg.norm(out_pts - geom.y, axis=1) > eps_excl]
+    length = geom.s_in + s_out
+    best = math.inf
+    for x_src, xi in zip(geom.x_legs, geom.xi_legs):
+        for _ in range(n_samples):
+            pert = rng.standard_normal(metric.dim - 1)
+            pert = pert / np.linalg.norm(pert)
+            spatial = xi[1:] / abs(xi[0]) + s0_cone * pert
+            v = null_vector(metric, x_src, spatial, time_sign=math.copysign(1.0, xi[0]))
+            traj = integrate_geodesic(metric, x_src, v * abs(xi[0]), length,
+                                      h=min(h, length / 200))
+            pts = traj.position(np.linspace(0.0, length, 400))
+            pts = pts[~(np.linalg.norm(pts - geom.y, axis=1) <= eps_excl)]
+            d = np.linalg.norm(pts[:, None, :] - out_pts[None, :, :], axis=2)
+            best = min(best, float(np.min(d)))
+    return best
+
+
+def _warped_time_only():
+    beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
+    return WarpedProduct(3, beta, beta_time_only=True)
+
+
+@pytest.mark.parametrize("metric", [M3, _warped_time_only()], ids=["minkowski", "warped"])
+def test_flowout_matches_norm_formula(metric):
+    obs = ObservationSet(metric, T=6.0, radius=2.0)
+    geom = build_interaction_geometry(metric, Y0, 1.2, 0.05, obs)
+    for cone in (0.1, 0.025):
+        assert flowout_disjointness(metric, geom, 0.6, cone, n_samples=4) \
+            == _flowout_by_norms(metric, geom, 0.6, cone, n_samples=4)
+
+
+def test_flowout_memory_is_one_ray_block():
+    # the distance block of one ray is (400, ~390) doubles, 1.25 MB; the
+    # brute-force (400, 390, 3) difference of each ray peaks near 10 MB
+    geom = build_interaction_geometry(M3, Y0, 1.2, 0.05, ObservationSet(M3, T=6.0, radius=2.0))
+    flowout_disjointness(M3, geom, 0.6, 0.1, n_samples=24)
+    tracemalloc.start()
+    try:
+        flowout_disjointness(M3, geom, 0.6, 0.1, n_samples=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6

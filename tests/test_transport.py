@@ -19,6 +19,7 @@ from lorentz_gauge.geometry import (
     ObservationSet,
     WarpedProduct,
     integrate_geodesic,
+    integrate_geodesics,
     null_cut_time,
     null_vector,
 )
@@ -305,11 +306,11 @@ def test_validation_sees_the_transported_legs(monkeypatch):
     ends = []
 
     def recording(*args, **kwargs):
-        seg = integrate_geodesic(*args, **kwargs)
-        ends.append(seg.endpoint)
-        return seg
+        segs = integrate_geodesics(*args, **kwargs)
+        ends.extend(seg.endpoint for seg in segs)
+        return segs
 
-    monkeypatch.setattr(tr, "integrate_geodesic", recording)
+    monkeypatch.setattr(tr, "integrate_geodesics", recording)
     validate_query(m, q, ObservationSet(m, T=6.0, radius=2.0))
     checked = list(ends)
     ends.clear()
@@ -330,10 +331,10 @@ def test_validated_broken_transform_integrates_each_leg_once(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[3])
-        return integrate_geodesic(*args, **kwargs)
+        calls.extend(np.broadcast_to(args[3], len(args[1])))
+        return integrate_geodesics(*args, **kwargs)
 
-    monkeypatch.setattr(tr, "integrate_geodesic", counting)
+    monkeypatch.setattr(tr, "integrate_geodesics", counting)
     s = broken_transform(m, random_connection(3, 2, np.random.default_rng(3)), q,
                          observation=ObservationSet(m, T=6.0, radius=2.0))
     assert calls == [1.0, 1.0]
