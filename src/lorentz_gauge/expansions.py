@@ -36,9 +36,6 @@ class ScalarExpansion:
             out = out - (a * np.sin(x @ k + p))[..., None] * k
         return out
 
-    def __call__(self, x):
-        return self.value(x)
-
     def to_json(self):
         return {
             "dim": self.dim,

@@ -1,9 +1,9 @@
 """Skew-Hermitian connection 1-forms and U(n) gauge fields.
 
 A connection is represented by its components A_i(x), each a finite
-trigonometric expansion with constant skew-Hermitian matrix
-coefficients, so that values, pairings with tangent vectors and all
-first derivatives are analytic and batch-evaluable.
+trigonometric expansion with constant skew-Hermitian matrix coefficients
+held as one real table over u_basis(n), so that pairings with tangent
+vectors and all first derivatives are analytic and batched.
 
 A gauge field is phi(x) = exp(chi(x) Psi(x)) with Psi a skew-Hermitian
 matrix field and chi a smooth cutoff; phi is exactly unitary and its
@@ -13,8 +13,6 @@ exponential.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError, IntegrityError
@@ -23,18 +21,28 @@ from .linalg import (
     adjoint,
     expm_frechet_skew,
     expm_skew,
+    from_coords,
+    hamilton,
+    quat_exp,
     random_skew_hermitian,
     skew_residual,
+    to_coords,
 )
 
 
 class MatrixExpansion:
-    """Sum_m f_m(x) X_m with scalar expansions f_m and constant skew-Hermitian X_m."""
+    """Sum_m f_m(x) X_m with scalar expansions f_m and constant skew-Hermitian X_m.
+
+    Each wave of each f_m (a nonzero constant as one of zero frequency) is
+    a row: frequency k_w, phase p_w and amplitude times the coordinates of
+    X_m in table[w]; the value's coordinates are cos(x . k_w + p_w) @ table.
+    """
 
     def __init__(self, dim, n, terms):
         self.dim = int(dim)
         self.n = int(n)
         self.terms = []
+        rows = []
         for f, xmat in terms:
             xmat = np.asarray(xmat, dtype=complex)
             if xmat.shape != (self.n, self.n):
@@ -42,22 +50,20 @@ class MatrixExpansion:
             if skew_residual(xmat) > 1e-12 * max(1.0, np.linalg.norm(xmat)):
                 raise IntegrityError("coefficient matrix is not skew-Hermitian")
             self.terms.append((f, xmat))
+            constant = [(f.constant, np.zeros(self.dim), 0.0)] if f.constant else []
+            rows += [(a * to_coords(xmat), k, p) for a, k, p in constant + f.waves]
+        self.table = np.array([r[0] for r in rows]).reshape(-1, self.n**2)
+        self.freqs = np.array([r[1] for r in rows]).reshape(-1, self.dim)
+        self.phases = np.array([r[2] for r in rows])
 
-    def value(self, x):
-        """Matrix value at x; batched over leading axes of x."""
+    def coords(self, x, v=None):
+        """Coordinates of the value at x, and of its derivative along v if given."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (self.n, self.n), dtype=complex)
-        for f, xmat in self.terms:
-            out += f.value(x)[..., None, None] * xmat
-        return out
-
-    def grad(self, x):
-        """Partial derivatives, shape (..., dim, n, n)."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (self.dim, self.n, self.n), dtype=complex)
-        for f, xmat in self.terms:
-            out += f.grad(x)[..., :, None, None] * xmat
-        return out
+        arg = x @ self.freqs.T + self.phases
+        value = np.cos(arg) @ self.table
+        if v is None:
+            return value
+        return value, (-np.sin(arg) * (np.asarray(v, dtype=float) @ self.freqs.T)) @ self.table
 
     @classmethod
     def random(cls, dim, n, rng, n_terms=2, amplitude=1.0, max_freq=2, n_waves=2):
@@ -80,41 +86,29 @@ class ConnectionField:
         for c in self.comps:
             if c.n != self.n or c.dim != self.dim:
                 raise DomainError("inconsistent component dimensions")
+        self.table = np.concatenate([c.table for c in self.comps])
+        self.freqs = np.concatenate([c.freqs for c in self.comps])
+        self.phases = np.concatenate([c.phases for c in self.comps])
+        # the coordinate index i of each row, whose wave pairs with v^i
+        self.axes = np.concatenate([np.full(len(c.phases), i) for i, c in enumerate(self.comps)])
+
+    def pairing_coords(self, x, v):
+        """Coordinates of <A(x), v> = sum_i v^i A_i(x) over u_basis(n)."""
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        return (v[..., self.axes] * np.cos(x @ self.freqs.T + self.phases)) @ self.table
+
+    def pairing(self, x, v):
+        """<A(x), v>, a skew-Hermitian matrix; batched over leading axes."""
+        return from_coords(self.pairing_coords(x, v))
 
     def components(self, x):
         """A_i(x), shape (..., dim, n, n)."""
-        x = np.asarray(x, dtype=float)
-        return np.stack([c.value(x) for c in self.comps], axis=-3)
-
-    def pairing(self, x, v):
-        """<A(x), v> = sum_i v^i A_i(x), a skew-Hermitian matrix; batched over leading axes."""
-        comps = self.components(x)
-        v = np.asarray(v, dtype=float)
-        return np.einsum("...i,...ijk->...jk", v, comps)
-
-    def derivatives(self, x):
-        """d_k A_i (x), shape (..., dim_k, dim_i, n, n)."""
-        x = np.asarray(x, dtype=float)
-        # stacking the per-component gradients along axis -3 puts the
-        # derivative index k first and the component index i second
-        return np.stack([c.grad(x) for c in self.comps], axis=-3)
-
-    @classmethod
-    def random(cls, dim, n, rng, amplitude=1.0, max_freq=2, n_waves=2):
-        return cls(
-            [
-                MatrixExpansion.random(
-                    dim, n, rng, amplitude=amplitude, max_freq=max_freq, n_waves=n_waves
-                )
-                for _ in range(dim)
-            ]
-        )
+        return self.pairing(np.asarray(x, dtype=float)[..., None, :], np.eye(self.dim))
 
     @classmethod
     def zero(cls, dim, n):
-        zero_f = ScalarExpansion(dim, constant=0.0)
-        zmat = np.zeros((n, n), dtype=complex)
-        return cls([MatrixExpansion(dim, n, [(zero_f, zmat)]) for _ in range(dim)])
+        return cls([MatrixExpansion(dim, n, []) for _ in range(dim)])
 
 
 class SmoothStep:
@@ -136,18 +130,13 @@ class SmoothStep:
 
     @classmethod
     def derivative(cls, u):
+        # with a = f(u), b = f(1 - u) and f' = f / u^2 on (0, 1): S' = a b (1 / u^2
+        # + 1 / (1 - u)^2) / (a + b)^2, which vanishes outside (0, 1)
         u = np.asarray(u, dtype=float)
-        a = cls._f(u)
-        b = cls._f(1.0 - u)
-        da = np.zeros_like(u)
-        db = np.zeros_like(u)
+        a, b = cls._f(u), cls._f(1.0 - u)
         inside = (u > 0) & (u < 1)
-        da[inside] = a[inside] / u[inside] ** 2
-        db[inside] = -b[inside] / (1.0 - u[inside]) ** 2
-        denom = (a + b) ** 2
-        out = np.zeros_like(u)
-        out[inside] = (da[inside] * b[inside] - a[inside] * db[inside]) / denom[inside]
-        return out
+        w = np.where(inside, u, 0.5)
+        return np.where(inside, a * b * (1.0 / w**2 + 1.0 / (1.0 - w) ** 2) / (a + b) ** 2, 0.0)
 
 
 class RadialCutoff:
@@ -182,51 +171,35 @@ class RadialCutoff:
         return out
 
 
-class UnitCutoff:
-    """chi identically 1 (gauge supported everywhere)."""
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1])
-
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape)
-
-
 class GaugeField:
     """U(n)-valued field phi(x) = exp(chi(x) Psi(x))."""
 
     def __init__(self, generator, cutoff=None):
         self.generator = generator
-        self.cutoff = cutoff if cutoff is not None else UnitCutoff()
+        # a radial cutoff of radius -inf is 1 everywhere: the gauge has full support
+        self.cutoff = cutoff if cutoff is not None else RadialCutoff(generator.dim, -np.inf)
         self.dim = generator.dim
         self.n = generator.n
 
-    def log(self, x):
-        """The skew-Hermitian exponent chi(x) Psi(x)."""
+    def log(self, x, v=None):
+        """Coordinates of chi Psi at x, and of its derivative along v if given."""
         x = np.asarray(x, dtype=float)
-        return np.asarray(self.cutoff.value(x))[..., None, None] * self.generator.value(x)
+        chi = np.asarray(self.cutoff.value(x))[..., None]
+        if v is None:
+            return chi * self.generator.coords(x)
+        v = np.asarray(v, dtype=float)
+        psi, dpsi_v = self.generator.coords(x, v)
+        dchi_v = np.einsum("...i,...i->...", v, self.cutoff.grad(x))[..., None]
+        return chi * psi, chi * dpsi_v + dchi_v * psi
 
     def value(self, x):
         """phi(x), exactly unitary; batched over leading axes."""
-        return expm_skew(self.log(x))
-
-    def inverse_value(self, x):
-        return adjoint(self.value(x))
+        return expm_skew(from_coords(self.log(x)))
 
     def value_and_derivative(self, x, v):
-        """phi(x) and its derivative d phi(x)[v] along v, from one decomposition.
-
-        Batched over matching leading axes of x and v.
-        """
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        chi = np.asarray(self.cutoff.value(x))[..., None, None]
-        dchi_v = np.einsum("...i,...i->...", v, self.cutoff.grad(x))[..., None, None]
-        psi = self.generator.value(x)
-        dpsi_v = np.einsum("...i,...ijk->...jk", v, self.generator.grad(x))
-        return expm_frechet_skew(chi * psi, chi * dpsi_v + dchi_v * psi)
+        """phi(x) and d phi(x)[v] from one decomposition; batched over leading axes of x and v."""
+        log, dlog_v = self.log(x, v)
+        return expm_frechet_skew(from_coords(log), from_coords(dlog_v))
 
     def differential(self, x):
         """d_k phi (x), shape (..., dim, n, n): the derivatives along the coordinate axes."""
@@ -234,24 +207,17 @@ class GaugeField:
         return self.value_and_derivative(x[..., None, :], np.eye(self.dim))[1]
 
     def inverse(self):
-        neg = MatrixExpansion(
-            self.generator.dim,
-            self.generator.n,
-            [(f, -xmat) for f, xmat in self.generator.terms],
-        )
-        return GaugeField(neg, self.cutoff)
+        neg = [(f, -xmat) for f, xmat in self.generator.terms]
+        return GaugeField(MatrixExpansion(self.dim, self.n, neg), self.cutoff)
 
     @classmethod
     def identity(cls, dim, n):
-        zero_f = ScalarExpansion(dim, constant=0.0)
-        gen = MatrixExpansion(dim, n, [(zero_f, np.zeros((n, n), dtype=complex))])
-        return cls(gen)
+        return cls(MatrixExpansion(dim, n, []))
 
     @classmethod
     def random(cls, dim, n, rng, cutoff=None, amplitude=1.0, max_freq=2, n_waves=2):
-        gen = MatrixExpansion.random(
-            dim, n, rng, amplitude=amplitude, max_freq=max_freq, n_waves=n_waves
-        )
+        gen = MatrixExpansion.random(dim, n, rng, amplitude=amplitude, max_freq=max_freq,
+                                     n_waves=n_waves)
         return cls(gen, cutoff)
 
 
@@ -270,18 +236,24 @@ class GaugedConnection:
         self.dim = base.dim
         self.n = base.n
 
-    def pairing(self, x, v):
-        """<A <| phi, v> = phi^H (d phi[v] + <A, v> phi)."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        u, dphi_v = self.phi.value_and_derivative(x, v)
-        return adjoint(u) @ (dphi_v + self.base.pairing(x, v) @ u)
+    def pairing_coords(self, x, v):
+        """Coordinates of <A <| phi, v> = phi^H (d phi[v] + <A, v> phi).
 
-    def components(self, x):
-        x = np.asarray(x, dtype=float)
-        u = self.phi.value(x)[..., None, :, :]
-        dphi = self.phi.differential(x)
-        return adjoint(u) @ (dphi + self.base.components(x) @ u)
+        For n = 2, with phi = e^{i a} q and <A, v> = i c I + b . e, that is
+        the phase da[v] + c and the quaternion q^-1 dq[v] + q^-1 (b . e) q.
+        """
+        a = self.base.pairing_coords(x, v)
+        if self.n != 2:
+            u, dphi_v = self.phi.value_and_derivative(x, v)
+            return to_coords(adjoint(u) @ (dphi_v + from_coords(a) @ u))
+        log, dlog_v = self.phi.log(x, v)
+        q, dq = quat_exp(log[..., 1:], dlog_v[..., 1:])
+        # q * (1, -1, -1, -1) is q^-1; a * (0, 1, 1, 1) is b . e as a pure quaternion
+        rot = hamilton(q * [1, -1, -1, -1], dq + hamilton(a * [0, 1, 1, 1], q))
+        return np.concatenate([dlog_v[..., :1] + a[..., :1], rot[..., 1:]], -1)
+
+    pairing = ConnectionField.pairing
+    components = ConnectionField.components
 
 
 def gauge_act(connection, phi):
@@ -291,7 +263,9 @@ def gauge_act(connection, phi):
 
 def random_connection(dim, n, rng, amplitude=1.0, max_freq=2, n_waves=2):
     """Random band-limited skew-Hermitian connection 1-form."""
-    return ConnectionField.random(dim, n, rng, amplitude=amplitude, max_freq=max_freq, n_waves=n_waves)
+    comps = [MatrixExpansion.random(dim, n, rng, amplitude=amplitude, max_freq=max_freq,
+                                    n_waves=n_waves) for _ in range(dim)]
+    return ConnectionField(comps)
 
 
 def random_gauge(dim, n, rng, observation=None, amplitude=1.0, width=1.0, max_freq=2, n_waves=2):

@@ -377,8 +377,8 @@ def _rk4_march(metric, x0, v0, s_stop, n_steps, rhs=None):
     steps of s_stop[r] / n_steps[r]; the sign of s_stop sets its direction.
     The default rhs is the geodesic equation (v, metric.geodesic_acceleration),
     evaluated over the leading axis of the rays still marching.  A ray
-    stops early, truncated, when its point stops being finite or leaves
-    the chart.  Returns one (xs, vs, truncated) per ray.
+    stops early, truncated, when its point or velocity stops being finite
+    or its point leaves the chart.  Returns one (xs, vs, truncated) per ray.
     """
     rhs = rhs or (lambda metric, x, v: (v, metric.geodesic_acceleration(x, v)))
     n_steps = np.asarray(n_steps, dtype=int)
@@ -402,7 +402,7 @@ def _rk4_march(metric, x0, v0, s_stop, n_steps, rhs=None):
         k4x, k4v = rhs(metric, x + h * k3x, v + h * k3v)
         x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        ok = np.isfinite(x).all(axis=-1) & metric.in_chart(x)
+        ok = np.isfinite(x).all(axis=-1) & np.isfinite(v).all(axis=-1) & metric.in_chart(x)
         if not ok.all():
             truncated[live[~ok]] = True
             count[live[~ok]] = i

@@ -189,7 +189,7 @@ def transport_symbol(metric, connection, bichar, sigma0, s, omega_spec=None, h=1
         return SymbolState(sigma0.value.copy(), sigma0.degree)
     params, hs = _stage_params(0.0, s, h)
     xs, vs = bichar.to_segment().state(params)
-    k1, k2 = np.split(-connection.pairing(xs, vs), 2)
+    k1, k2 = np.split(-connection.pairing_coords(xs, vs), 2)
     f = omega_spec.divergence(xs, metric.flat(xs, vs))
     # the CF4 weights of each step sum to 1/2 per node, so the scalar
     # factors multiply to one exponential of the Gauss-node sum

@@ -17,7 +17,16 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError
 from .geometry import integrate_geodesics, null_cut_time
-from .linalg import expm_skew, polar_project, unitarity_residual
+from .linalg import (
+    expm_skew,
+    from_coords,
+    hamilton,
+    polar_project,
+    quat_exp,
+    to_coords,
+    u2_matrix,
+    unitarity_residual,
+)
 
 SQRT3 = math.sqrt(3.0)
 # Gauss-Legendre nodes and the CF4 combination coefficients
@@ -42,30 +51,45 @@ def _stage_params(a, b, h):
 def _stage_generators(connection, segment, a, b, h):
     """CF4 stage generators K = -<A, gamma'> at the Gauss nodes of each step.
 
-    Returns (k1, k2, hs) with k1, k2 of shape (m, n, n) and the signed
-    step size hs.
+    Returns (k1, k2, hs) with k1, k2 of shape (m, n*n), the coordinates
+    of K over u_basis(n), and the signed step size hs.
     """
     params, hs = _stage_params(a, b, h)
     xs, vs = segment.state(params)
-    k1, k2 = np.split(-connection.pairing(xs, vs), 2)
+    k1, k2 = np.split(-connection.pairing_coords(xs, vs), 2)
     return k1, k2, hs
 
 
 def _cf4_product(k1, k2, hs):
     """Ordered product of the CF4 two-exponential steps, later steps on the left.
 
-    The exponentials are stacked in time order [first_0, second_0,
-    first_1, ...] and multiplied pairwise, level by level, each pair as
-    later @ earlier; an odd level is padded with I at the end.
+    k1, k2 hold the coordinates over u_basis(n) of the generators at the
+    two Gauss nodes of each step. The exponentials are stacked in time
+    order [first_0, second_0, first_1, ...] and multiplied pairwise,
+    level by level, each pair as later times earlier; an odd level is
+    padded with the identity at the end. For n <= 2 the phase commutes
+    with everything: the CF4 weights of each step sum to 1/2 per node, so
+    it is one exponential of the Gauss-node sum, and for n = 2 the tree
+    multiplies unit quaternions. Only the result becomes a matrix.
     """
-    gens = np.stack([_A1 * k1 + _A2 * k2, _A2 * k1 + _A1 * k2], axis=1)
-    u = expm_skew(hs * gens.reshape((-1,) + k1.shape[1:]))
-    eye = np.eye(k1.shape[-1], dtype=complex)[None]
+    n = math.isqrt(k1.shape[-1])
+    gens = hs * np.stack([_A1 * k1 + _A2 * k2, _A2 * k1 + _A1 * k2], axis=1).reshape(-1, n * n)
+    if n > 2:
+        return polar_project(_tree_product(expm_skew(from_coords(gens)), np.matmul, np.eye(n)))
+    phase = 0.5 * hs * np.sum(k1[:, 0] + k2[:, 0])
+    if n == 1:
+        return polar_project(np.exp(1j * phase).reshape(1, 1))
+    q = _tree_product(quat_exp(gens[:, 1:]), hamilton, np.array([1.0, 0.0, 0.0, 0.0]))
+    return polar_project(u2_matrix(phase, q))
+
+
+def _tree_product(u, mul, one):
+    """mul-product of the stack u, later elements on the left, pairwise by levels."""
     while len(u) > 1:
         if len(u) % 2:
-            u = np.concatenate([u, eye])
-        u = u[1::2] @ u[::2]
-    return polar_project(u[0])
+            u = np.concatenate([u, one[None]])
+        u = mul(u[1::2], u[::2])
+    return u[0]
 
 
 def _check_range(segment, *params):
@@ -100,7 +124,7 @@ def inverse_transport(metric, connection, segment, a, b, h=1e-3):
     if a == b:
         return np.eye(connection.n, dtype=complex)
     k1, k2, hs = _stage_generators(connection, segment, a, b, h)
-    w_t = _cf4_product(-np.swapaxes(k1, -1, -2), -np.swapaxes(k2, -1, -2), hs)
+    w_t = _cf4_product(*(to_coords(-np.swapaxes(from_coords(k), -1, -2)) for k in (k1, k2)), hs)
     return np.swapaxes(w_t, -1, -2).copy()
 
 
@@ -136,7 +160,7 @@ def determinant_track_residual(metric, connection, segment, a, b, h=1e-3):
     k1, k2, hs = _stage_generators(connection, segment, a, b, h)
     p = _cf4_product(k1, k2, hs)
     # two-point Gauss quadrature of the trace, exact to the same order
-    tr = np.trace(k1, axis1=-2, axis2=-1) + np.trace(k2, axis1=-2, axis2=-1)
+    tr = np.trace(from_coords(k1 + k2), axis1=-2, axis2=-1)
     integral = 0.5 * hs * np.sum(tr)
     return float(abs(np.linalg.det(p) - np.exp(integral)))
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lorentz_gauge.cli import main
+from lorentz_gauge.cli import EXPERIMENTS, main
 from lorentz_gauge.transport import read_queries
 
 LIGHT = {
@@ -220,3 +220,31 @@ def test_interaction_geometry_failure_is_a_failed_check(tmp_path, capsys, vertex
     report = json.loads((out / "report.json").read_text())
     checks = {c["name"]: c for c in report["results"]["interaction"]["checks"]}
     assert not checks["interaction_geometry"]["pass"]
+
+
+SWEEP_METRICS = {
+    "minkowski": {"kind": "minkowski", "dim": 3},
+    "cylinder": {"kind": "cylinder"},
+    "time-only-warp": {"kind": "warped", "dim": 3, "beta_time_only": True,
+                       "beta": {"dim": 3, "constant": 1.0,
+                                "waves": [{"amp": 0.3, "freq": [0.5, 0, 0], "phase": 0}]}},
+    "warp": {"kind": "warped", "dim": 3, "beta_time_only": False,
+             "beta": {"dim": 3, "constant": 1.0,
+                      "waves": [{"amp": 0.3, "freq": [0.5, 0.2, 0], "phase": 0}]}},
+}
+SWEEP_SIZES = {"geodesic": {"n_fixtures": 2}, "transport": {"n_fixtures": 2},
+               "broken": {"n_queries": 3}}
+SWEEP = ([(command, metric, 2) for metric in SWEEP_METRICS for command in EXPERIMENTS]
+         + [(command, "minkowski", n) for n in (1, 3)
+            for command in ("transport", "broken", "reconstruct")])
+
+
+@pytest.mark.parametrize("command, metric, n", SWEEP,
+                         ids=[f"{c}-{m}-n{n}" for c, m, n in SWEEP])
+def test_cli_contract_sweep(tmp_path, capsys, command, metric, n):
+    # every experiment on every metric kind exits by the contract: 0, 1 on a
+    # failed check, 2 on what the metric cannot do; never by a traceback
+    extra = dict(SWEEP_SIZES, metric=SWEEP_METRICS[metric], connection={"n": n})
+    code, _ = run(tmp_path, command, extra=extra)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

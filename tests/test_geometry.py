@@ -224,7 +224,8 @@ def test_negative_parameter_range():
 
 def _rk4_ray(metric, x0, v0, s_stop, h):
     """One ray by the textbook loop: n equal steps to s_stop, stopping before
-    the first step whose point is not finite or leaves the chart."""
+    the first step whose point or velocity is not finite or whose point
+    leaves the chart."""
     n = max(1, math.ceil(abs(s_stop) / h))
     step = s_stop / n
 
@@ -241,7 +242,7 @@ def _rk4_ray(metric, x0, v0, s_stop, h):
         k4x, k4v = f(x + step * k3x, v + step * k3v)
         x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not (np.all(np.isfinite(x)) and metric.in_chart(x)):
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v)) and metric.in_chart(x)):
             truncated = True
             break
         xs.append(x)
@@ -302,6 +303,21 @@ def test_integrate_geodesics_truncates_one_ray_at_the_chart():
     first = segments[0]
     assert len(first.s) == 3 and np.all(metric.in_chart(first.x))
     assert [seg.s_max for seg in segments[1:]] == [1.5, 1.0]
+
+
+def test_integrate_geodesic_truncates_before_a_non_finite_velocity():
+    # beta = 1 + cos(x^1) vanishes at x^1 = pi: the ray blows up there, and
+    # a step can leave its point finite (of order 1e191) but its velocity NaN
+    beta = ScalarExpansion(3, constant=1.0, waves=[(1.0, [0.0, 1.0, 0.0], 0.0)])
+    metric = WarpedProduct(3, beta)
+    seg = integrate_geodesic(metric, np.array([0.0, 2.5, 0.0]), np.array([1.0, 1.0, 0.3]),
+                             3.0, h=0.01, s_min=-0.5)
+    assert seg.truncated
+    assert np.all(np.isfinite(seg.x)) and np.all(np.isfinite(seg.v))
+    x, v = seg.state(np.linspace(seg.s_max - 0.01, seg.s_max, 5))
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(v))
+    _assert_segments_match_rays(metric, np.array([[0.0, 2.5, 0.0]]), np.array([[1.0, 1.0, 0.3]]),
+                                s_max=[3.0], h=[0.01], s_min=[-0.5])
 
 
 @pytest.mark.parametrize("metric", [Minkowski(3), warped_cosine()], ids=["minkowski", "warped"])

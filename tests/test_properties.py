@@ -1,0 +1,111 @@
+"""Property tests of the u(n) coordinates and of transport, with hypothesis.
+
+Every test runs a fixed number of derandomized examples, so the suite
+stays deterministic. The transport tolerances are the acceptance
+tolerances of test_acceptance.py.
+"""
+
+import copy
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm_frechet
+
+from lorentz_gauge.cli import _admissible_queries
+from lorentz_gauge.config import DEFAULT_SCENARIO, Fixture
+from lorentz_gauge.gauge import gauge_act
+from lorentz_gauge.geometry import integrate_geodesic, null_vector
+from lorentz_gauge.linalg import (
+    expm_frechet_skew,
+    expm_skew,
+    from_coords,
+    hamilton,
+    u2_matrix,
+    unitarity_residual,
+)
+from lorentz_gauge.transport import (
+    CutTimeCache,
+    broken_transform,
+    check_group_property,
+    check_reversal,
+    parallel_transport,
+)
+
+FAST = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+SLOW = settings(max_examples=20, derandomize=True, deadline=None, database=None)
+
+reals = st.floats(-2.0, 2.0)
+quaternions = st.lists(reals, min_size=4, max_size=4).map(np.array)
+# the rotation angle theta = |b|: zero, the switch of the derivative's
+# small-angle limit at 1e-4, pi, and anything between
+angles = st.one_of(st.sampled_from([0.0, 1e-8, 1e-4, np.nextafter(1e-4, 1.0), math.pi]),
+                   st.floats(0.0, math.pi))
+
+METRICS = {
+    "minkowski": {"kind": "minkowski", "dim": 3},
+    "time-only-warp": {"kind": "warped", "dim": 3, "beta_time_only": True,
+                       "beta": {"dim": 3, "constant": 1.0,
+                                "waves": [{"amp": 0.3, "freq": [0.5, 0, 0], "phase": 0}]}},
+}
+
+
+def fixture(metric, n, seed):
+    scenario = copy.deepcopy(DEFAULT_SCENARIO)
+    scenario["metric"] = METRICS[metric]
+    scenario["connection"]["n"] = n
+    return Fixture(scenario, seed=seed)
+
+
+@FAST
+@given(phase=st.floats(-3.0, 3.0), theta=angles, axis=st.lists(reals, min_size=3, max_size=3),
+       direction=quaternions)
+def test_coordinate_exponential_matches_scipy(phase, theta, axis, direction):
+    axis = np.array(axis)
+    assume(np.linalg.norm(axis) > 0.1)
+    x = from_coords(np.concatenate([[phase], theta * axis / np.linalg.norm(axis)]))
+    e = from_coords(direction)
+    ref_u, ref_d = expm_frechet(x, e)
+    u, d = expm_frechet_skew(x, e)
+    assert np.max(np.abs(expm_skew(x) - ref_u)) < 1e-13
+    assert np.max(np.abs(u - ref_u)) < 1e-13
+    assert np.max(np.abs(d - ref_d)) < 1e-13
+
+
+@FAST
+@given(alpha=st.floats(-3.0, 3.0), p=quaternions, q=quaternions)
+def test_hamilton_product_is_the_matrix_product(alpha, p, q):
+    product = u2_matrix(alpha, p) @ u2_matrix(0.0, q)
+    assert np.max(np.abs(u2_matrix(alpha, hamilton(p, q)) - product)) < 1e-13
+
+
+@SLOW
+@given(metric=st.sampled_from(sorted(METRICS)), n=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2**31 - 1))
+def test_transport_unitary_group_law_and_reversal(metric, n, seed):
+    fx = fixture(metric, n, seed)
+    conn = fx.connection()
+    x0 = np.concatenate([[fx.rng.uniform(0.5, 1.5)], fx.rng.uniform(-0.5, 0.5, 2)])
+    v = null_vector(fx.metric, x0, fx.rng.standard_normal(2))
+    seg = integrate_geodesic(fx.metric, x0, v, 2.0, h=1e-2)
+    u = parallel_transport(fx.metric, conn, seg, 0.0, 2.0, h=1e-3)
+    assert unitarity_residual(u) <= 1e-10
+    assert check_group_property(fx.metric, conn, seg, 0.0, 0.9, 2.0, h=1e-3) <= 1e-8
+    assert check_reversal(fx.metric, conn, x0, v, 2.0, h=1e-3) <= 1e-8
+
+
+@SLOW
+@given(metric=st.sampled_from(sorted(METRICS)), n=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2**31 - 1))
+def test_broken_transform_gauge_invariant(metric, n, seed):
+    fx = fixture(metric, n, seed)
+    conn = fx.connection()
+    conn_b = gauge_act(conn, fx.gauge().inverse())
+    cache = CutTimeCache(fx.metric)
+    queries = _admissible_queries(fx, 2, cache)
+    assert queries
+    for q in queries:
+        sa = broken_transform(fx.metric, conn, q, observation=fx.observation, cache=cache)
+        sb = broken_transform(fx.metric, conn_b, q, observation=fx.observation, cache=cache)
+        assert np.linalg.norm(sa - sb) <= 1e-6

@@ -15,7 +15,7 @@ from lorentz_gauge.geometry import (
     integrate_geodesic,
     null_vector,
 )
-from lorentz_gauge.linalg import normalize_phase_scale
+from lorentz_gauge.linalg import normalize_phase_scale, to_coords
 from lorentz_gauge.symcalc import (
     Bicharacteristic,
     FlatDensity,
@@ -224,7 +224,8 @@ def test_transport_symbol_log_density_matches_node_loop(rng):
         k.append(-a.pairing(x, v))
         div.append(f(x, m.matrix(x) @ v))
     k1, k2 = np.split(np.array(k), 2)
-    ref = math.exp(-0.5 * hs * sum(div)) * (_cf4_product(k1, k2, hs) @ s0.value)
+    prod = _cf4_product(to_coords(k1), to_coords(k2), hs)
+    ref = math.exp(-0.5 * hs * sum(div)) * (prod @ s0.value)
     np.testing.assert_allclose(got.value, ref, rtol=1e-13, atol=1e-15)
 
 

@@ -1,9 +1,12 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from lorentz_gauge.config import DEFAULT_SCENARIO, Fixture
 from lorentz_gauge.errors import AdmissibilityError, DomainError
 from lorentz_gauge.expansions import ScalarExpansion
 from lorentz_gauge.gauge import (
@@ -27,6 +30,7 @@ from lorentz_gauge.linalg import (
     expm_skew,
     polar_project,
     random_skew_hermitian,
+    to_coords,
     unitarity_residual,
 )
 from lorentz_gauge.transport import (
@@ -377,4 +381,19 @@ def test_cf4_product_matches_sequential_loop(rng, m, n):
         first = expm_skew(hs * (_A1 * k1[i] + _A2 * k2[i]))
         second = expm_skew(hs * (_A2 * k1[i] + _A1 * k2[i]))
         u = second @ (first @ u)
-    assert np.max(np.abs(_cf4_product(k1, k2, hs) - polar_project(u))) < 1e-13
+    assert np.max(np.abs(_cf4_product(to_coords(k1), to_coords(k2), hs) - polar_project(u))) < 1e-13
+
+
+def test_gauged_transport_memory_peak():
+    # one 3000-step transport of A <| phi with the default scenario's fields;
+    # the stage arrays are (6000, 4) reals, so the peak stays a few MB
+    fx = Fixture(copy.deepcopy(DEFAULT_SCENARIO))
+    b = gauge_act(fx.connection(), fx.gauge())
+    seg = integrate_geodesic(fx.metric, np.zeros(3), np.array([1.0, 1.0, 0.0]), 3.0)
+    tracemalloc.start()
+    try:
+        parallel_transport(fx.metric, b, seg, 0.0, 3.0, h=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
