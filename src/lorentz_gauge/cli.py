@@ -32,7 +32,7 @@ from .geometry import (
     null_vector,
     unit_directions,
 )
-from .linalg import normalize_phase_scale, random_skew_hermitian, unitarity_residual
+from .linalg import normalize_phase_scale, unitarity_residual
 from .reconstruction import (
     LEG_SCAN_MARGIN,
     LEG_SCAN_POINTS,
@@ -44,7 +44,7 @@ from .reconstruction import (
     verify_theorem,
 )
 from .symcalc import (
-    build_interaction_geometry,
+    build_interaction_sweep,
     flowout_disjointness,
     simulated_measurement,
 )
@@ -154,12 +154,15 @@ def run_transport(fx, params, out_dir, strict):
 
 
 def _admissible_queries(fx, count, cache):
-    """Deterministically sampled admissible broken-ray queries."""
+    """Deterministically sampled admissible broken-ray queries.
+
+    Vertex times are drawn from [1.5, T - 1.5], so a window with T < 3 gives none.
+    """
     m = fx.metric
     obs = fx.observation
     queries = []
     attempts = 0
-    while len(queries) < count and attempts < 50 * count:
+    while obs.T >= 3.0 and len(queries) < count and attempts < 50 * count:
         attempts += 1
         y = np.zeros(m.dim)
         y[0] = fx.rng.uniform(1.5, obs.T - 1.5)
@@ -233,6 +236,8 @@ def run_reconstruct(fx, params, out_dir, strict):
     oracle_a = TransformOracle(fx.metric, conn, fx.observation)
     oracle_b = TransformOracle(fx.metric, conn_b, fx.observation)
     grid = diamond_grid(fx.metric, fx.observation, per_axis=int(params["per_axis"]))
+    if not len(grid):
+        _check(checks, "reconstruct_empty_grid", 1.0, 0.5)
     rec = reconstruct_gauge(fx.metric, oracle_a, oracle_b, grid, fx.observation,
                             k_directions=int(params["k_directions"]))
     _check(checks, "reconstruct_spread", rec.max_spread(), float(params["tol_spread"]),
@@ -241,10 +246,8 @@ def run_reconstruct(fx, params, out_dir, strict):
         _check(checks, "reconstruct_unresolved", float(rec.n_unresolved), 0.5)
     samples = grid[:: max(1, len(grid) // 12)]
     if phi is not None:
-        err = max(
-            float(np.linalg.norm(rec.values[i] - phi.value(rec.points[i])))
-            for i in range(len(grid)) if not rec.unresolved[i]
-        )
+        err = max((float(np.linalg.norm(rec.values[i] - phi.value(rec.points[i])))
+                   for i in np.flatnonzero(~rec.unresolved)), default=0.0)
         _check(checks, "reconstruct_recover_gauge", err, float(params["tol_recover"]))
         ode, _ = verify_gauge_ode(fx.metric, conn, conn_b, phi, samples)
         thm, _ = verify_theorem(fx.metric, conn, conn_b, phi, samples)
@@ -283,10 +286,9 @@ def run_interaction(fx, params, out_dir, strict):
     flow_ok = True
     for theta in params["thetas"]:
         try:
-            geoms = {
-                r: build_interaction_geometry(fx.metric, y, float(theta), r, fx.observation)
-                for r in r_sweep
-            }
+            # one s' for the whole sweep, so every r measures along the same legs
+            geoms = dict(zip(r_sweep, build_interaction_sweep(fx.metric, y, float(theta),
+                                                              r_sweep, fx.observation)))
             # the measurements are compared with the transform of the smallest r's query
             s_mat = broken_transform(fx.metric, conn, geoms[min(r_sweep)].query(s_out),
                                      observation=fx.observation)

@@ -18,26 +18,18 @@ recorded per point and never silently mixed.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError
-from .geometry import (
-    WorldLine,
-    earliest_obs_time,
-    integrate_geodesic,
-    integrate_geodesics,
-    unit_directions,
-)
+from .geometry import integrate_geodesic, integrate_geodesics, unit_directions
 from .linalg import polar_project, unitarity_residual
 from .symcalc import _orthonormal_frame
 from .transport import (
     TOL_CUT,
     BrokenRayQuery,
     CutTimeCache,
-    broken_transform,
     matrix_to_json,
     parallel_transport,
     validate_query,
@@ -53,10 +45,13 @@ HONEST_MARGIN = 1e-3
 
 
 class TransformOracle:
-    """Deterministic broken-transform data source for one connection.
+    """Deterministic transport data source for one connection.
 
-    Besides whole broken transforms it gives the per-leg transports,
-    which synthetic extraction uses.
+    Its one operation, the transport along a given leg segment, yields both
+    the broken transforms of honest extraction and the per-leg transports of
+    synthetic extraction. ``observation`` is kept only for the positional
+    constructor call ``(metric, connection, observation, h)``; the caller
+    validates every leg.
     """
 
     def __init__(self, metric, connection, observation=None, h=1e-3):
@@ -65,22 +60,10 @@ class TransformOracle:
         self.observation = observation
         self.h = h
         self.n = connection.n
-        self.cache = CutTimeCache(metric)
 
-    def broken(self, q):
-        return broken_transform(
-            self.metric, self.connection, q, observation=self.observation,
-            cache=self.cache, h=self.h,
-        )
-
-    def out_leg(self, seg, s_out):
-        """P along the outgoing leg segment gamma_{y,w} over [0, s_out]."""
-        return parallel_transport(self.metric, self.connection, seg, 0.0, s_out, h=self.h)
-
-    def in_leg(self, y, v, s_in):
-        """P from gamma_{y,v}(s_in) to y."""
-        seg = integrate_geodesic(self.metric, y, v, s_in, h=min(1e-2, s_in / 50))
-        return parallel_transport(self.metric, self.connection, seg, s_in, 0.0, h=self.h)
+    def transport(self, seg, a, b):
+        """P along the segment from parameter a to parameter b."""
+        return parallel_transport(self.metric, self.connection, seg, a, b, h=self.h)
 
 
 def _validate_out_leg(metric, y, w, s_out, observation, cache):
@@ -93,8 +76,6 @@ def _validate_out_leg(metric, y, w, s_out, observation, cache):
         raise AdmissibilityError("w must be future-pointing")
     if s_out <= 0:
         raise AdmissibilityError("s'' must be positive")
-    if cache is None:
-        cache = CutTimeCache(metric)
     if s_out >= cache.cut_time(y, w) - TOL_CUT:
         raise AdmissibilityError("s'' exceeds the outgoing cut time")
     seg = integrate_geodesic(metric, y, w, s_out, h=min(1e-2, s_out / 50))
@@ -142,10 +123,12 @@ def gauge_candidate(metric, oracle_a, oracle_b, y, w, s_out, observation=None,
     """
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
+    if cache is None:
+        cache = CutTimeCache(metric)
     seg = _validate_out_leg(metric, y, w, s_out, observation, cache)
     if mode == "synthetic":
-        pa = oracle_a.out_leg(seg, s_out)
-        pb = oracle_b.out_leg(seg, s_out)
+        pa = oracle_a.transport(seg, 0.0, s_out)
+        pb = oracle_b.transport(seg, 0.0, s_out)
         return polar_project(np.conj(pb.T) @ pa)
     if mode != "honest":
         raise DomainError("mode must be 'synthetic' or 'honest'")
@@ -154,12 +137,13 @@ def gauge_candidate(metric, oracle_a, oracle_b, y, w, s_out, observation=None,
         raise AdmissibilityError(
             "no incoming leg inside the observation set (vertex not observable)"
         )
-    validate_query(metric, q, observation, cache=cache)
-    s_a = oracle_a.broken(q)
-    s_b = oracle_b.broken(q)
+    seg_in, seg_out = validate_query(metric, q, observation, cache=cache)
+    # the broken transforms S = P_out P_in of both connections on the validated legs
+    p_in = oracle_a.transport(seg_in, q.s_in, 0.0)
+    s_a = oracle_a.transport(seg_out, 0.0, q.s_out) @ p_in
+    s_b = oracle_b.transport(seg_out, 0.0, q.s_out) @ oracle_b.transport(seg_in, q.s_in, 0.0)
     # S_B^{-1} S_A = P_in^{-1} (P^B_out)^{-1} P^A_out P_in with P_in the
     # shared incoming transport of the a-priori-known connection
-    p_in = oracle_a.in_leg(q.y, q.v, q.s_in)
     return polar_project(p_in @ np.conj(s_b.T) @ s_a @ np.conj(p_in.T))
 
 
@@ -176,21 +160,21 @@ def diamond_grid(metric, observation, per_axis=5):
     """Uniform interior lattice of the causal diamond of the central worldline.
 
     Keeps the lattice points y with f^-(y) > 0 and f^+(y) < T for the
-    observer at the centre of the observation set.
+    observer mu(s) = (s, center), s in [0, T]. As mu is future-timelike
+    and << is transitive, {s : mu(s) << y} is an initial interval of [0, T]
+    and {s : y << mu(s)} a final one, so these hold exactly when
+    mu(0) << y and y << mu(T).
     """
-    worldline = WorldLine(metric, T=observation.T, point=observation.center)
     t_vals = np.linspace(DIAMOND_MARGIN, observation.T - DIAMOND_MARGIN, per_axis)
     half = observation.T / 2.0 - DIAMOND_MARGIN
     sp_vals = [np.linspace(-half, half, per_axis) for _ in range(metric.dim - 1)]
     mesh = np.meshgrid(t_vals, *sp_vals, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = []
-    for y in pts:
-        f_minus = earliest_obs_time(metric, worldline, y, "past", coarse=64)
-        f_plus = earliest_obs_time(metric, worldline, y, "future", coarse=64)
-        if f_minus > 0.0 and f_plus < observation.T:
-            keep.append(y)
-    return np.array(keep)
+    if not metric.in_chart(pts).all():
+        raise DomainError("point lies outside the metric chart")
+    mu_0, mu_T = (np.concatenate([[s], observation.center]) for s in (0.0, observation.T))
+    keep = (metric.time_separation(mu_0, pts) > 0) & (metric.time_separation(pts, mu_T) > 0)
+    return pts[keep]
 
 
 @dataclass
@@ -234,7 +218,7 @@ class GaugeReconstruction:
             "n_unresolved": self.n_unresolved,
             "max_spread": self.max_spread(),
             "max_unitarity_residual": float(
-                max(unitarity_residual(u) for u in self.values)
+                max((unitarity_residual(u) for u in self.values), default=0.0)
             ),
         }
 
@@ -282,11 +266,12 @@ def _admissible_out_legs(metric, observation, y, k, cache):
 
 
 def reconstruct_gauge(metric, oracle_a, oracle_b, grid, observation, k_directions=8,
-                      mode="auto", cache=None):
+                      cache=None):
     """Per-point gauge candidates on a grid; first admissible direction wins.
 
-    mode="auto" uses honest extraction for points inside the observation
-    set and synthetic extraction elsewhere, recording the choice.
+    Points inside the observation set use honest extraction, the others
+    synthetic extraction; the choice is recorded. Every cut time goes
+    through the one cache.
     """
     if cache is None:
         cache = CutTimeCache(metric)
@@ -302,10 +287,7 @@ def reconstruct_gauge(metric, oracle_a, oracle_b, grid, observation, k_direction
             unresolved[i] = True
             modes.append("none")
             continue
-        if mode == "auto":
-            point_mode = "honest" if observation.contains(y) else "synthetic"
-        else:
-            point_mode = mode
+        point_mode = "honest" if observation.contains(y) else "synthetic"
         cands = []
         for w, s_out in legs:
             try:

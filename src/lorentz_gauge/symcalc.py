@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -294,11 +294,21 @@ def build_interaction_geometry(metric, y, theta, r, observation, s_range=None):
     an orthonormal frame at y, and the common source parameter s' is
     searched so that all three sources land inside the observation set.
     """
+    return build_interaction_sweep(metric, y, theta, [r], observation, s_range)[0]
+
+
+def build_interaction_sweep(metric, y, theta, r_sweep, observation, s_range=None):
+    """build_interaction_geometry for every r of a sweep, at one common s'.
+
+    s' is the middle of the scanned values at which all 3 len(r_sweep)
+    sources lie inside the observation set, so every r of the sweep
+    measures along legs of the same length.
+    """
     y = metric.validate_point(y)
     dim = metric.dim
     if dim < 3:
         raise DomainError("the interaction geometry needs at least two spatial dimensions")
-    if not 0 < r < 1:
+    if not all(0 < r < 1 for r in r_sweep):
         raise DomainError("r must lie in (0, 1)")
     if min(abs(math.sin(theta)), 1.0 + math.cos(theta)) < 1e-6:
         raise GeometryError("degenerate interaction angle (theta near 0 or pi)")
@@ -309,30 +319,28 @@ def build_interaction_geometry(metric, y, theta, r, observation, s_range=None):
         comp[: len(components)] = components
         return frame @ comp
 
-    root = math.sqrt(1.0 - r * r)
-    w = vec([1.0, math.cos(theta), math.sin(theta)])
-    w_legs = [
-        vec([-1.0, 1.0, 0.0]),
-        vec([-1.0, root, r]),
-        vec([-1.0, root, -r]),
-    ]
     g = metric.matrix(y)
-    for u in [w] + w_legs:
-        if abs(float(u @ g @ u)) > 1e-10:
-            raise GeometryError("constructed direction is not lightlike")
-
+    w = vec([1.0, math.cos(theta), math.sin(theta)])
     eta = g @ w
     signs = (1.0, -1.0, -1.0)
-    eta_legs = [sg * (g @ u) for sg, u in zip(signs, w_legs)]
-    basis = np.stack(eta_legs, axis=1)
-    kappa, residuals, rank, _ = np.linalg.lstsq(basis, r * r * eta, rcond=None)
-    if rank < 3:
-        raise GeometryError("degenerate interaction angle: kappa system is singular")
-    kappa_residual = float(np.linalg.norm(basis @ kappa - r * r * eta))
-    if kappa_residual > 1e-10:
-        raise GeometryError("kappa linear relation residual too large")
-    if np.any(kappa <= 0):
-        raise GeometryError("kappa coefficients are not all positive")
+    parts = []
+    for r in r_sweep:
+        root = math.sqrt(1.0 - r * r)
+        w_legs = [vec([-1.0, 1.0, 0.0]), vec([-1.0, root, r]), vec([-1.0, root, -r])]
+        for u in [w] + w_legs:
+            if abs(float(u @ g @ u)) > 1e-10:
+                raise GeometryError("constructed direction is not lightlike")
+        eta_legs = [sg * (g @ u) for sg, u in zip(signs, w_legs)]
+        basis = np.stack(eta_legs, axis=1)
+        kappa, residuals, rank, _ = np.linalg.lstsq(basis, r * r * eta, rcond=None)
+        if rank < 3:
+            raise GeometryError("degenerate interaction angle: kappa system is singular")
+        kappa_residual = float(np.linalg.norm(basis @ kappa - r * r * eta))
+        if kappa_residual > 1e-10:
+            raise GeometryError("kappa linear relation residual too large")
+        if np.any(kappa <= 0):
+            raise GeometryError("kappa coefficients are not all positive")
+        parts.append((r, w_legs, eta_legs, kappa, kappa_residual))
 
     # search a common source parameter s' putting all sources in the
     # observation set
@@ -342,26 +350,28 @@ def build_interaction_geometry(metric, y, theta, r, observation, s_range=None):
     lo, hi = s_range
     if not lo < hi:
         raise GeometryError("empty s' search range")
-    segments = integrate_geodesics(metric, np.tile(y, (3, 1)), np.stack(w_legs), hi * 1.01,
+    all_legs = np.array([u for part in parts for u in part[1]])
+    segments = integrate_geodesics(metric, np.tile(y, (len(all_legs), 1)), all_legs, hi * 1.01,
                                    SOURCE_LEG_STEP)
     s_in = observation.middle_inside(segments, np.linspace(lo, hi, S_SCAN_POINTS),
                                      S_SCAN_MARGIN)
     if s_in is None:
         raise GeometryError("no common s' places all three sources in the observation set")
 
-    x_legs = [seg.position(s_in) for seg in segments]
-    xi_legs = [-seg.velocity(s_in) for seg in segments]
-    for j in range(3):
-        for k in range(j + 1, 3):
-            if not causally_independent(metric, x_legs[j], x_legs[k]):
-                raise GeometryError("source points are not causally independent")
-
-    return InteractionGeometry(
-        metric=metric, y=y, theta=float(theta), r=float(r), s_in=s_in,
-        w=w, w_legs=w_legs, x_legs=x_legs, xi_legs=xi_legs,
-        eta=eta, eta_legs=eta_legs, kappa=kappa, kappa_residual=kappa_residual,
-        segments=segments,
-    )
+    geoms = []
+    for i, (r, w_legs, eta_legs, kappa, kappa_residual) in enumerate(parts):
+        legs = segments[3 * i:3 * i + 3]
+        x_legs = [seg.position(s_in) for seg in legs]
+        xi_legs = [-seg.velocity(s_in) for seg in legs]
+        if not all(causally_independent(metric, a, b) for a, b in combinations(x_legs, 2)):
+            raise GeometryError("source points are not causally independent")
+        geoms.append(InteractionGeometry(
+            metric=metric, y=y, theta=float(theta), r=float(r), s_in=s_in,
+            w=w, w_legs=w_legs, x_legs=x_legs, xi_legs=xi_legs,
+            eta=eta, eta_legs=eta_legs, kappa=kappa, kappa_residual=kappa_residual,
+            segments=legs,
+        ))
+    return geoms
 
 
 # ---------------------------------------------------------------------------

@@ -248,3 +248,38 @@ def test_cli_contract_sweep(tmp_path, capsys, command, metric, n):
     code, _ = run(tmp_path, command, extra=extra)
     assert code in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_interaction_sweep_shares_one_source_parameter(tmp_path):
+    # alone, r = 0.0125 takes s' = 0.582 here and r = 0.05, 0.025 take 0.553,
+    # so the Cauchy check compared measurements along different legs
+    code, out = run(tmp_path, "interaction", extra={"interaction": {
+        "y": [3.459, -0.147, 0.142], "thetas": [1.685], "r_sweep": [0.05, 0.025, 0.0125]}})
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    checks = {c["name"]: c for c in report["results"]["interaction"]["checks"]}
+    assert checks["interaction_cauchy_in_r"]["pass"]
+
+
+FAILING = {
+    "empty-diamond-minkowski": ("reconstruct", {"reconstruct": {"per_axis": 2}},
+                                "reconstruct_empty_grid"),
+    "empty-diamond-cylinder": ("reconstruct", {"reconstruct": {"per_axis": 2}, **CYLINDER},
+                               "reconstruct_empty_grid"),
+    "short-window": ("broken", {"observation": {"T": 2.9, "radius": 1.0}},
+                     "broken_query_yield"),
+}
+
+
+@pytest.mark.parametrize("case", FAILING)
+def test_cli_contract_failed_check(tmp_path, capsys, case):
+    # a scenario the data cannot serve fails a named check, not by a traceback
+    command, extra, check = FAILING[case]
+    code, out = run(tmp_path, command, extra=extra)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert check in captured.out
+    report = json.loads((out / "report.json").read_text())
+    checks = {c["name"]: c for c in report["results"][command]["checks"]}
+    assert not checks[check]["pass"]

@@ -11,14 +11,18 @@ from lorentz_gauge.gauge import (
 )
 from lorentz_gauge.expansions import ScalarExpansion
 from lorentz_gauge.geometry import (
+    Cylinder,
     Minkowski,
     ObservationSet,
     WarpedProduct,
+    WorldLine,
+    earliest_obs_time,
     integrate_geodesic,
     null_vector,
 )
 from lorentz_gauge.linalg import unitarity_residual
 from lorentz_gauge.reconstruction import (
+    DIAMOND_MARGIN,
     GaugeReconstruction,
     TransformOracle,
     diamond_grid,
@@ -50,6 +54,11 @@ def oracles(a, b):
 def outgoing_toward_center(y):
     u = -y[1:] / np.linalg.norm(y[1:])
     return np.concatenate([[1.0], u])
+
+
+def time_only_warp():
+    beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
+    return WarpedProduct(3, beta, beta_time_only=True)
 
 
 Y_OUT = np.array([3.0, 1.8, 0.5])  # interior vertex outside the observation set
@@ -94,8 +103,7 @@ def test_synthetic_candidate_integrates_its_leg_once(monkeypatch):
     # the endpoint test and both oracles' transports share one segment
     import lorentz_gauge.reconstruction as rec
 
-    beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
-    m = WarpedProduct(3, beta, beta_time_only=True)
+    m = time_only_warp()
     obs = ObservationSet(m, T=6.0, radius=1.0)
     rng = np.random.default_rng(5)
     oa, ob = (TransformOracle(m, random_connection(DIM, N, rng), obs) for _ in range(2))
@@ -152,6 +160,60 @@ def test_diamond_grid_inside_diamond():
         assert y[0] + np.linalg.norm(y[1:]) < OBS.T
 
 
+def diamond_grid_reference(metric, observation, per_axis):
+    """The lattice points whose f^-(y) > 0 and f^+(y) < T, each found by
+    scanning the central observer on 64 cells and bisecting."""
+    worldline = WorldLine(metric, T=observation.T, point=observation.center)
+    t_vals = np.linspace(DIAMOND_MARGIN, observation.T - DIAMOND_MARGIN, per_axis)
+    half = observation.T / 2.0 - DIAMOND_MARGIN
+    sp_vals = [np.linspace(-half, half, per_axis) for _ in range(metric.dim - 1)]
+    mesh = np.meshgrid(t_vals, *sp_vals, indexing="ij")
+    keep = [
+        y for y in np.stack([m.ravel() for m in mesh], axis=1)
+        if earliest_obs_time(metric, worldline, y, "past", coarse=64) > 0.0
+        and earliest_obs_time(metric, worldline, y, "future", coarse=64) < observation.T
+    ]
+    return np.array(keep).reshape(-1, metric.dim)
+
+
+DIAMOND_METRICS = {
+    "minkowski-2+1": (Minkowski(3), [0.3, -0.2]),
+    "minkowski-3+1": (Minkowski(4), [0.3, -0.2, 0.1]),
+    "cylinder": (Cylinder(), [0.4]),
+    "time-only-warp": (time_only_warp(), None),
+}
+# the bisecting reference takes 10-15 s per warped 8-per-axis lattice, so
+# the warp stops at 5 per axis
+DIAMOND_CASES = [(name, per_axis, T) for name in DIAMOND_METRICS
+                 for per_axis in (2, 3, 5, 8) for T in (4.0, 6.0)
+                 if not (name == "time-only-warp" and per_axis == 8)]
+
+
+@pytest.mark.parametrize("name, per_axis, T", DIAMOND_CASES,
+                         ids=[f"{n}-{p}-T{T:g}" for n, p, T in DIAMOND_CASES])
+def test_diamond_grid_matches_bisection(name, per_axis, T):
+    metric, center = DIAMOND_METRICS[name]
+    obs = ObservationSet(metric, T=T, radius=1.0, center=center)
+    assert np.array_equal(diamond_grid(metric, obs, per_axis),
+                          diamond_grid_reference(metric, obs, per_axis))
+
+
+def test_diamond_grid_can_be_empty(planted):
+    a, _, b = planted
+    grid = diamond_grid(M3, OBS, per_axis=2)
+    assert grid.shape == (0, 3)
+    rec = reconstruct_gauge(M3, *oracles(a, b), grid, OBS)
+    assert rec.to_json()["max_unitarity_residual"] == 0.0
+
+
+def test_diamond_grid_outside_chart():
+    # beta = 0.1 + cos t is negative at the lattice's middle time t = 3
+    beta = ScalarExpansion(3, constant=0.1, waves=[(1.0, [1.0, 0.0, 0.0], 0.0)])
+    m = WarpedProduct(3, beta, beta_time_only=True)
+    with pytest.raises(DomainError):
+        diamond_grid(m, ObservationSet(m, T=6.0, radius=1.0), per_axis=3)
+
+
 def test_reconstruct_equal_connections(planted):
     a, _, _ = planted
     oa = TransformOracle(M3, a, OBS)
@@ -181,6 +243,35 @@ def test_reconstruct_planted_gauge(planted):
         if OBS.contains(y):
             assert rec.mode[i] == "honest"
             assert np.linalg.norm(rec.values[i] - np.eye(N)) < 1e-9
+
+
+def test_reconstruction_computes_each_cut_time_and_leg_once(planted, monkeypatch):
+    # one cache serves every cut time, and an honest candidate integrates
+    # the two legs of its query once, for validation and transport alike
+    import lorentz_gauge.reconstruction as rec_mod
+    import lorentz_gauge.transport as tr
+
+    calls = {"cut": 0, "legs": 0, "honest": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def candidate(*args, **kwargs):
+        calls["honest"] += kwargs["mode"] == "honest"
+        return gauge_candidate(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "null_cut_time", counted("cut", tr.null_cut_time))
+    monkeypatch.setattr(tr, "integrate_geodesics", counted("legs", tr.integrate_geodesics))
+    monkeypatch.setattr(rec_mod, "gauge_candidate", candidate)
+    a, _, b = planted
+    cache = tr.CutTimeCache(M3)
+    reconstruct_gauge(M3, *oracles(a, b), diamond_grid(M3, OBS, per_axis=3), OBS,
+                      k_directions=4, cache=cache)
+    assert calls == {"cut": 30, "legs": 12, "honest": 12}
+    assert len(cache) == 30
 
 
 def test_reconstruction_report_fields(planted):

@@ -23,6 +23,7 @@ from lorentz_gauge.symcalc import (
     SymbolState,
     _orthonormal_frame,
     build_interaction_geometry,
+    build_interaction_sweep,
     causally_independent,
     flowout_disjointness,
     homogeneity_residual,
@@ -289,6 +290,37 @@ def test_no_common_source_parameter():
     tiny = ObservationSet(M3, T=6.0, radius=1e-4)
     with pytest.raises(GeometryError):
         build_interaction_geometry(M3, Y0, math.pi / 2, 0.1, tiny)
+
+
+R_SWEEP = (0.05, 0.025, 0.0125)
+
+
+def test_sweep_keeps_one_source_parameter_where_single_r_jumps():
+    # alone, each r takes the middle of its own valid s' values, which moves
+    y, theta = np.array([3.459, -0.147, 0.142]), 1.685
+    alone = [build_interaction_geometry(M3, y, theta, r, OBS) for r in R_SWEEP]
+    assert alone[0].s_in == alone[1].s_in != alone[2].s_in
+    sweep = build_interaction_sweep(M3, y, theta, R_SWEEP, OBS)
+    for g, single in zip(sweep, alone):
+        assert g.r == single.r and g.s_in == alone[0].s_in
+        assert OBS.contains(np.array(g.x_legs)).all()
+        assert np.array_equal(g.kappa, single.kappa)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, 3 * math.pi / 4])
+def test_sweep_at_the_default_vertex_matches_each_r(theta):
+    r_sweep = [0.1, 0.05, 0.025]
+    sweep = build_interaction_sweep(M3, Y0, theta, r_sweep, OBS)
+    for g, r in zip(sweep, r_sweep):
+        alone = build_interaction_geometry(M3, Y0, theta, r, OBS)
+        assert g.s_in == alone.s_in == 0.40409243697478997
+        assert np.array_equal(g.x_legs, alone.x_legs)
+
+
+def test_sweep_without_common_source_parameter():
+    tiny = ObservationSet(M3, T=6.0, radius=1e-4)
+    with pytest.raises(GeometryError):
+        build_interaction_sweep(M3, Y0, math.pi / 2, R_SWEEP, tiny)
 
 
 def test_orthonormal_frame_warped():
