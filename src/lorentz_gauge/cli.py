@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .config import DEFAULT_SCENARIO, Fixture, ScenarioError, load_scenario, validate_scenario
-from .errors import AdmissibilityError, CapabilityError, GeometryError
+from .errors import AdmissibilityError, CapabilityError, DomainError, GeometryError
 from .gauge import gauge_act
 from .geometry import (
     Cylinder,
@@ -66,6 +66,7 @@ from .transport import (
 log = logging.getLogger("lorentz_gauge")
 
 EXPERIMENTS = ("geodesic", "transport", "broken", "reconstruct", "interaction")
+CAUCHY_FLOOR = 1e-12  # an r-sweep difference this small is exact convergence
 
 
 def _check(checks, name, value, threshold, passed=None):
@@ -305,7 +306,7 @@ def run_interaction(fx, params, out_dir, strict):
         for j, c in enumerate(cs):
             outs = [normalize_phase_scale(vec[j]) for vec in vecs]
             diffs = [float(np.linalg.norm(outs[i + 1] - outs[i])) for i in range(len(outs) - 1)]
-            if any(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:])):
+            if any(d2 >= d1 and d2 > CAUCHY_FLOOR for d1, d2 in zip(diffs, diffs[1:])):
                 cauchy_ok = False
             worst_meas = max(
                 worst_meas,
@@ -426,8 +427,10 @@ def main(argv=None):
     except ScenarioError as exc:
         print(f"scenario error at {exc.path}: {exc}", file=sys.stderr)
         return 2
-    except CapabilityError as exc:
-        print(f"unsupported by this metric: {exc}", file=sys.stderr)
+    except (CapabilityError, DomainError) as exc:
+        log.debug("experiment stopped", exc_info=True)
+        unserved = "unsupported by" if isinstance(exc, CapabilityError) else "outside the domain of"
+        print(f"{unserved} this metric: {exc}", file=sys.stderr)
         return 2
     failed = [
         c["name"]

@@ -267,37 +267,22 @@ def validate_query(metric, q, observation, cache=None):
 def leg_segments(metric, q):
     """The incoming and outgoing geodesic segments of a query, as transported."""
     h_geo = min(1e-2, min(q.s_in, q.s_out) / 50)
-    seg_in, seg_out = integrate_geodesics(metric, np.stack([q.y, q.y]), np.stack([q.v, q.w]),
-                                          [q.s_in, q.s_out], h_geo)
-    return seg_in, seg_out
-
-
-def transform_legs(metric, connection, q, h=1e-3):
-    """The two transports (P_in, P_out) of a broken-ray query.
-
-    P_in transports from x = gamma_{y,v}(s_in) to y along the
-    future-reparameterized incoming leg; P_out from y to
-    gamma_{y,w}(s_out). Admissibility is decided on the same segments.
-    """
-    return _transport_legs(metric, connection, q, *leg_segments(metric, q), h)
-
-
-def _transport_legs(metric, connection, q, seg_in, seg_out, h):
-    # transport from parameter s_in down to 0 equals the transport along
-    # gamma_{x, xi} with xi = -gamma'_{y,v}(s_in), per the change of variables
-    p_in = parallel_transport(metric, connection, seg_in, q.s_in, 0.0, h=h)
-    p_out = parallel_transport(metric, connection, seg_out, 0.0, q.s_out, h=h)
-    return p_in, p_out
+    return integrate_geodesics(metric, np.stack([q.y, q.y]), np.stack([q.v, q.w]),
+                               [q.s_in, q.s_out], h_geo)
 
 
 def broken_transform(metric, connection, q, observation=None, cache=None, h=1e-3,
                      validate=True):
-    """S^A(q) = P_out . P_in (outgoing after incoming).
-
-    The legs that validation integrated are the legs transported.
+    """S^A(q) = P_out . P_in: P_in from gamma_{y,v}(s_in) to y along the
+    incoming leg, P_out from y to gamma_{y,w}(s_out). The legs that
+    validation integrated are the legs transported.
     """
     legs = validate_query(metric, q, observation, cache=cache) if validate else None
-    p_in, p_out = _transport_legs(metric, connection, q, *(legs or leg_segments(metric, q)), h)
+    seg_in, seg_out = legs or leg_segments(metric, q)
+    # transport from parameter s_in down to 0 equals the transport along
+    # gamma_{x, xi} with xi = -gamma'_{y,v}(s_in), per the change of variables
+    p_in = parallel_transport(metric, connection, seg_in, q.s_in, 0.0, h=h)
+    p_out = parallel_transport(metric, connection, seg_out, 0.0, q.s_out, h=h)
     return p_out @ p_in
 
 

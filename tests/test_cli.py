@@ -231,7 +231,14 @@ SWEEP_METRICS = {
     "warp": {"kind": "warped", "dim": 3, "beta_time_only": False,
              "beta": {"dim": 3, "constant": 1.0,
                       "waves": [{"amp": 0.3, "freq": [0.5, 0.2, 0], "phase": 0}]}},
+    # beta = 0.5 + cos(t/2) vanishes at t = 4pi/3, inside the observation window
+    "vanishing-warp": {"kind": "warped", "dim": 3, "beta_time_only": True,
+                       "beta": {"dim": 3, "constant": 0.5,
+                                "waves": [{"amp": 1.0, "freq": [0.5, 0, 0], "phase": 0}]}},
 }
+# experiments that leave the metric's domain exit 2
+SWEEP_EXIT = {("broken", "vanishing-warp"): 2, ("reconstruct", "vanishing-warp"): 2,
+              ("interaction", "vanishing-warp"): 2}
 SWEEP_SIZES = {"geodesic": {"n_fixtures": 2}, "transport": {"n_fixtures": 2},
                "broken": {"n_queries": 3}}
 SWEEP = ([(command, metric, 2) for metric in SWEEP_METRICS for command in EXPERIMENTS]
@@ -247,6 +254,7 @@ def test_cli_contract_sweep(tmp_path, capsys, command, metric, n):
     extra = dict(SWEEP_SIZES, metric=SWEEP_METRICS[metric], connection={"n": n})
     code, _ = run(tmp_path, command, extra=extra)
     assert code in (0, 1, 2)
+    assert code == SWEEP_EXIT.get((command, metric), code)
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -255,6 +263,17 @@ def test_interaction_sweep_shares_one_source_parameter(tmp_path):
     # so the Cauchy check compared measurements along different legs
     code, out = run(tmp_path, "interaction", extra={"interaction": {
         "y": [3.459, -0.147, 0.142], "thetas": [1.685], "r_sweep": [0.05, 0.025, 0.0125]}})
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    checks = {c["name"]: c for c in report["results"]["interaction"]["checks"]}
+    assert checks["interaction_cauchy_in_r"]["pass"]
+
+
+def test_interaction_zero_connection_converges(tmp_path):
+    # with no connection every r measures the same vector: the consecutive
+    # differences are exactly 0, which is convergence, not divergence
+    code, out = run(tmp_path, "interaction", extra={"connection": {"type": "zero"},
+                                                    "interaction": {"r_sweep": [0.1, 0.05, 0.025]}})
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     checks = {c["name"]: c for c in report["results"]["interaction"]["checks"]}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from lorentz_gauge.errors import CapabilityError, DomainError
 from lorentz_gauge.expansions import ScalarExpansion
@@ -363,6 +364,52 @@ def test_time_separation_warped_conformal():
     m = warped()
     expected = math.sqrt((math.exp(0.5) - 1.0) ** 2 - 0.01)
     assert time_separation(m, [0.0, 0.0], [0.5, 0.1]) == pytest.approx(expected, abs=1e-9)
+
+
+class LinearBeta:
+    """beta(t, x) = 1 + t; records every t it is evaluated at."""
+
+    def __init__(self):
+        self.seen = []
+
+    def value(self, x):
+        t = np.asarray(x, float)[..., 0]
+        self.seen.extend(t.ravel())
+        return 1.0 + t
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_conformal_time_matches_tight_quad():
+    m = warped_cosine()
+    t = np.arange(-300, 2501) / 100
+
+    def sqrt_beta(u):
+        return math.sqrt(1.0 + 0.3 * math.cos(u / 2))
+
+    ref = [quad(sqrt_beta, 0.0, ti, epsabs=1e-14, epsrel=1e-14, limit=200)[0] for ti in t]
+    assert np.max(np.abs(m.conformal_time(t) - ref)) < 1e-13
+
+
+def test_conformal_time_evaluates_beta_between_0_and_t():
+    # [DERIVED] beta = 1 + t: t~ = (2/3)((1 + t)^{3/2} - 1)
+    for t in (-0.9, 0.3, 2.9, 5.0):
+        beta = LinearBeta()
+        m = WarpedProduct(2, beta, beta_time_only=True)
+        assert abs(m.conformal_time(t) - 2 / 3 * ((1 + t) ** 1.5 - 1)) < 1e-13
+        assert min(0.0, t) <= min(beta.seen) and max(beta.seen) <= max(0.0, t)
+    with pytest.raises(DomainError):
+        WarpedProduct(2, LinearBeta(), beta_time_only=True).conformal_time(-1.5)
+
+
+def test_conformal_time_is_the_same_alone_and_in_a_batch():
+    t = np.linspace(-3.0, 25.0, 281)
+    m = warped_cosine()
+    batch = m.conformal_time(t)
+    # a fresh metric asked one point at a time widens its table at each cell
+    alone = warped_cosine()
+    assert all(alone.conformal_time(ti) == b for ti, b in zip(t, batch))
+    m.conformal_time(40.0)
+    assert np.array_equal(m.conformal_time(t), batch)
 
 
 def test_time_separation_warped_capability():

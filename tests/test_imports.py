@@ -1,4 +1,5 @@
-"""Every name a module under src/ imports is used by that module.
+"""Every name a module under src/ imports is used by that module, and
+importing the CLI loads no scipy.
 
 No linter is installed, so this parses each module with ast. A name
 counts as used when it is read anywhere in the module, including as the
@@ -7,6 +8,8 @@ root of an attribute chain, or when the module lists it in ``__all__``.
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,3 +54,12 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only inside connect_null
+    code = ("import sys, lorentz_gauge.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

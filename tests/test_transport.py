@@ -44,12 +44,12 @@ from lorentz_gauge.transport import (
     check_reversal,
     determinant_track_residual,
     inverse_transport,
+    leg_segments,
     matrix_from_json,
     matrix_to_json,
     parallel_transport,
     read_queries,
     run_batch,
-    transform_legs,
     validate_query,
     write_results,
 )
@@ -233,7 +233,9 @@ def test_broken_transform_abelian_closed_form():
 def test_broken_transform_is_leg_product(rng):
     a = random_connection(DIM, 2, rng)
     q = good_query()
-    p_in, p_out = transform_legs(M3, a, q)
+    seg_in, seg_out = leg_segments(M3, q)
+    p_in = parallel_transport(M3, a, seg_in, q.s_in, 0.0)
+    p_out = parallel_transport(M3, a, seg_out, 0.0, q.s_out)
     s = broken_transform(M3, a, q, observation=OBS)
     assert np.array_equal(s, p_out @ p_in)
 
@@ -298,7 +300,7 @@ def test_cut_time_cache_reuse():
 
 def test_validation_sees_the_transported_legs(monkeypatch):
     # on a warped metric the endpoint tests of validate_query run on the
-    # same RK4 segments that transform_legs transports
+    # same RK4 segments that broken_transform transports
     import lorentz_gauge.transport as tr
 
     beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
@@ -318,7 +320,7 @@ def test_validation_sees_the_transported_legs(monkeypatch):
     validate_query(m, q, ObservationSet(m, T=6.0, radius=2.0))
     checked = list(ends)
     ends.clear()
-    transform_legs(m, ConnectionField.zero(3, 1), q)
+    broken_transform(m, ConnectionField.zero(3, 1), q, validate=False)
     assert len(checked) == 2
     assert np.array_equal(checked, ends)
 
