@@ -422,23 +422,25 @@ def _rk4_march(metric, x0, v0, s_stop, n_steps, rhs=None):
     truncated = np.zeros(n_rays, dtype=bool)
     live = np.arange(n_rays)
     x, v = x0, v0
-    for i in range(xs.shape[1] - 1):
-        # the rays that have taken all their steps drop out of the stack
-        going = n_steps[live] > i
-        if not going.all():
-            live, x, v, h = live[going], x[going], v[going], h[going]
-        k1x, k1v = rhs(metric, x, v)
-        k2x, k2v = rhs(metric, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = rhs(metric, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = rhs(metric, x + h * k3x, v + h * k3v)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        ok = np.isfinite(x).all(axis=-1) & np.isfinite(v).all(axis=-1) & metric.in_chart(x)
-        if not ok.all():
-            truncated[live[~ok]] = True
-            count[live[~ok]] = i
-            live, x, v, h = live[ok], x[ok], v[ok], h[ok]
-        xs[live, i + 1], vs[live, i + 1] = x, v
+    # a ray whose values overflow is truncated below, so its warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(xs.shape[1] - 1):
+            # the rays that have taken all their steps drop out of the stack
+            going = n_steps[live] > i
+            if not going.all():
+                live, x, v, h = live[going], x[going], v[going], h[going]
+            k1x, k1v = rhs(metric, x, v)
+            k2x, k2v = rhs(metric, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+            k3x, k3v = rhs(metric, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+            k4x, k4v = rhs(metric, x + h * k3x, v + h * k3v)
+            x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+            v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            ok = np.isfinite(x).all(axis=-1) & np.isfinite(v).all(axis=-1) & metric.in_chart(x)
+            if not ok.all():
+                truncated[live[~ok]] = True
+                count[live[~ok]] = i
+                live, x, v, h = live[ok], x[ok], v[ok], h[ok]
+            xs[live, i + 1], vs[live, i + 1] = x, v
     return [(xs[r, : count[r] + 1], vs[r, : count[r] + 1], bool(truncated[r]))
             for r in range(n_rays)]
 

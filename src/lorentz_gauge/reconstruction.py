@@ -14,6 +14,12 @@ connection is known a priori — this only exists for vertices inside the
 observation set. Elsewhere the "synthetic" mode evaluates the per-leg
 transports directly from the oracle's connection; the mode used is
 recorded per point and never silently mixed.
+
+Admissibility has one check per leg, ``transport.check_leg``, and each
+leg is integrated once: a synthetic candidate checks and marches its
+outgoing leg, and an honest candidate builds its query without
+integrating anything and leaves every test to ``validate_query``, whose
+endpoint tests cover the whole incoming leg by convexity.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from .geometry import integrate_geodesic, integrate_geodesics, unit_directions
 from .linalg import polar_project, unitarity_residual
 from .symcalc import _orthonormal_frame
 from .transport import (
-    TOL_CUT,
     BrokenRayQuery,
     CutTimeCache,
+    check_leg,
     matrix_to_json,
     parallel_transport,
     validate_query,
@@ -66,47 +72,26 @@ class TransformOracle:
         return parallel_transport(self.metric, self.connection, seg, a, b, h=self.h)
 
 
-def _validate_out_leg(metric, y, w, s_out, observation, cache):
-    """The segment gamma_{y,w}([0, s_out]) of an admissible outgoing leg."""
-    y = metric.validate_point(y)
-    w = np.asarray(w, dtype=float)
-    if abs(metric.inner(y, w, w)) > 1e-8 * max(1.0, float(w @ w)):
-        raise AdmissibilityError("w is not lightlike")
-    if w[0] <= 0:
-        raise AdmissibilityError("w must be future-pointing")
-    if s_out <= 0:
-        raise AdmissibilityError("s'' must be positive")
-    if s_out >= cache.cut_time(y, w) - TOL_CUT:
-        raise AdmissibilityError("s'' exceeds the outgoing cut time")
-    seg = integrate_geodesic(metric, y, w, s_out, h=min(1e-2, s_out / 50))
-    if observation is not None and not observation.contains(seg.endpoint):
-        raise AdmissibilityError("outgoing endpoint outside the observation set")
-    return seg
-
-
 def _honest_incoming_query(metric, observation, y, w, s_out):
-    """A query whose incoming leg stays inside the observation set.
+    """A query whose incoming leg starts at a vertex inside the observation set.
 
-    Only vertices inside the observation set admit one; the incoming
-    direction is the first frame direction not colinear with w, and every
-    stored sample of its leg must lie inside.
+    The incoming direction is the first frame direction not colinear with
+    w. On every metric with a cut time a leg is a straight line in
+    coordinates in which the observation set (0, T) x B is convex, so the
+    leg stays inside exactly when its endpoint does, which validate_query
+    tests; nothing is integrated here.
     """
     if observation is None or not observation.contains(y):
         return None
+    room = observation.radius - float(np.linalg.norm(y[1:] - observation.center))
+    s_in = 0.45 * min(y[0] - HONEST_MARGIN, room)
+    if s_in <= HONEST_MARGIN:
+        return None
     frame = _orthonormal_frame(metric, y)
-    wn = np.asarray(w, float) / abs(w[0])
-    dirs = unit_directions(metric.dim - 1, max(4, metric.dim))
-    for u in dirs:
+    wn = w / abs(w[0])
+    for u in unit_directions(metric.dim - 1, max(4, metric.dim)):
         v = frame @ np.concatenate([[-1.0], u])
-        vn = v / abs(v[0])
-        if np.linalg.norm(vn[1:] + wn[1:]) < 1e-6:
-            continue  # colinear with the outgoing direction
-        room = observation.radius - float(np.linalg.norm(y[1:] - observation.center))
-        s_in = 0.45 * min(y[0] - HONEST_MARGIN, room)
-        if s_in <= HONEST_MARGIN:
-            continue
-        seg = integrate_geodesic(metric, y, v, s_in, h=min(1e-2, s_in / 20))
-        if observation.contains(seg.x).all():
+        if np.linalg.norm(v[1:] / abs(v[0]) + wn[1:]) >= 1e-6:
             return BrokenRayQuery(y, v, w, s_in, s_out)
     return None
 
@@ -121,12 +106,15 @@ def gauge_candidate(metric, oracle_a, oracle_b, y, w, s_out, observation=None,
     y in the observation set; the incoming transport is computed from
     the a-priori-known connection there).
     """
-    y = np.asarray(y, dtype=float)
+    y = metric.validate_point(y)
     w = np.asarray(w, dtype=float)
     if cache is None:
         cache = CutTimeCache(metric)
-    seg = _validate_out_leg(metric, y, w, s_out, observation, cache)
     if mode == "synthetic":
+        check_leg(metric, y, "w", w, s_out, cache)
+        seg = integrate_geodesic(metric, y, w, s_out, h=min(1e-2, s_out / 50))
+        if observation is not None and not observation.contains(seg.endpoint):
+            raise AdmissibilityError("outgoing endpoint outside the observation set")
         pa = oracle_a.transport(seg, 0.0, s_out)
         pb = oracle_b.transport(seg, 0.0, s_out)
         return polar_project(np.conj(pb.T) @ pa)
@@ -319,21 +307,14 @@ def reconstruct_gauge(metric, oracle_a, oracle_b, grid, observation, k_direction
 # ---------------------------------------------------------------------------
 
 
-def _phi_evaluator(phi):
-    if hasattr(phi, "value"):
-        return lambda x: phi.value(x)
-    return phi
-
-
 def verify_gauge_ode(metric, conn_a, conn_b, phi, samples, directions=None,
                      fd_step=1e-5, bounds=None):
     """Max residual of <d phi, w> - (phi <A, w> - <B, w> phi) over the samples.
 
-    d phi by central differences along each direction; samples too close
-    to the given bounds for differencing are skipped and counted.
-    Returns (max_residual, n_skipped).
+    d phi by central differences of phi.value along each direction;
+    samples too close to the given bounds for differencing are skipped
+    and counted. Returns (max_residual, n_skipped).
     """
-    ev = _phi_evaluator(phi)
     if directions is None:
         directions = np.eye(metric.dim)
     worst = 0.0
@@ -344,37 +325,27 @@ def verify_gauge_ode(metric, conn_a, conn_b, phi, samples, directions=None,
             if np.any(x - fd_step < lo) or np.any(x + fd_step > hi):
                 skipped += 1
                 continue
-        u = ev(x)
+        u = phi.value(x)
         for w in directions:
-            dphi = (ev(x + fd_step * w) - ev(x - fd_step * w)) / (2.0 * fd_step)
+            dphi = (phi.value(x + fd_step * w) - phi.value(x - fd_step * w)) / (2.0 * fd_step)
             rhs = u @ conn_a.pairing(x, w) - conn_b.pairing(x, w) @ u
             worst = max(worst, float(np.linalg.norm(dphi - rhs)))
     return worst, skipped
 
 
-def verify_theorem(metric, conn_a, conn_b, phi, samples, fd_step=1e-5):
+def verify_theorem(metric, conn_a, conn_b, phi, samples):
     """Max over samples and coordinate directions of ||A_i - (B <| phi)_i||.
 
-    (B <| phi)_i = phi^{-1} d_i phi + phi^{-1} B_i phi with d_i phi
-    analytic when phi provides a differential, else central differences.
-    Returns (max_residual, n_skipped) like verify_gauge_ode; it skips no
-    sample, so n_skipped is 0.
+    (B <| phi)_i = phi^{-1} d_i phi + phi^{-1} B_i phi with d_i phi the
+    analytic differential of the gauge field phi. Returns
+    (max_residual, n_skipped) like verify_gauge_ode; it skips no sample,
+    so n_skipped is 0.
     """
-    ev = _phi_evaluator(phi)
-    has_analytic = hasattr(phi, "differential")
     worst = 0.0
-    eye = np.eye(metric.dim)
     for x in np.atleast_2d(np.asarray(samples, dtype=float)):
-        u = ev(x)
+        u = phi.value(x)
         uinv = np.conj(u.T)
-        if has_analytic:
-            dphi = phi.differential(x)
-        else:
-            dphi = np.stack([
-                (ev(x + fd_step * e) - ev(x - fd_step * e)) / (2.0 * fd_step) for e in eye
-            ])
-        a_comp = conn_a.components(x)
-        b_comp = conn_b.components(x)
-        gauged = uinv @ dphi + uinv @ b_comp @ u
-        worst = max(worst, float(np.max(np.linalg.norm(a_comp - gauged, axis=(-2, -1)))))
+        gauged = uinv @ phi.differential(x) + uinv @ conn_b.components(x) @ u
+        worst = max(worst, float(np.max(np.linalg.norm(conn_a.components(x) - gauged,
+                                                       axis=(-2, -1)))))
     return worst, 0

@@ -229,6 +229,25 @@ class BrokenRayQuery:
 TOL_CUT = 1e-6
 
 
+def check_leg(metric, y, name, vec, s, cache):
+    """Raise AdmissibilityError unless the leg gamma_{y,vec}([0, s]) is admissible.
+
+    The incoming leg "v" must be past-pointing, the outgoing leg "w"
+    future-pointing; either must be lightlike, with a positive parameter
+    below its cut time.
+    """
+    incoming = name == "v"
+    if abs(metric.inner(y, vec, vec)) > 1e-8 * max(1.0, float(vec @ vec)):
+        raise AdmissibilityError(f"{name} is not lightlike")
+    if (-vec[0] if incoming else vec[0]) <= 0:
+        raise AdmissibilityError(f"{name} must be {'past' if incoming else 'future'}-pointing")
+    if s <= 0:
+        raise AdmissibilityError("leg parameters must be positive")
+    if s >= cache.cut_time(y, vec) - TOL_CUT:
+        raise AdmissibilityError("s_in exceeds the incoming cut time" if incoming
+                                 else "s_out exceeds the outgoing cut time")
+
+
 def validate_query(metric, q, observation, cache=None):
     """Raise AdmissibilityError naming the first violated condition.
 
@@ -236,24 +255,14 @@ def validate_query(metric, q, observation, cache=None):
     tested, as ``leg_segments`` builds them; else None.
     """
     y = metric.validate_point(q.y)
-    for name, vec, sign in (("v", q.v, -1.0), ("w", q.w, 1.0)):
-        if abs(metric.inner(y, vec, vec)) > 1e-8 * max(1.0, float(vec @ vec)):
-            raise AdmissibilityError(f"{name} is not lightlike")
-        if sign * vec[0] <= 0:
-            direction = "past" if sign < 0 else "future"
-            raise AdmissibilityError(f"{name} must be {direction}-pointing")
+    if cache is None:
+        cache = CutTimeCache(metric)
+    check_leg(metric, y, "v", q.v, q.s_in, cache)
+    check_leg(metric, y, "w", q.w, q.s_out, cache)
     vh = q.v / abs(q.v[0])
     wh = q.w / abs(q.w[0])
     if np.linalg.norm(vh[1:] + wh[1:]) < 1e-9:
         raise AdmissibilityError("(v, w) are colinear")
-    if q.s_in <= 0 or q.s_out <= 0:
-        raise AdmissibilityError("leg parameters must be positive")
-    if cache is None:
-        cache = CutTimeCache(metric)
-    if q.s_in >= cache.cut_time(y, q.v) - TOL_CUT:
-        raise AdmissibilityError("s_in exceeds the incoming cut time")
-    if q.s_out >= cache.cut_time(y, q.w) - TOL_CUT:
-        raise AdmissibilityError("s_out exceeds the outgoing cut time")
     if observation is None:
         return None
     seg_in, seg_out = leg_segments(metric, q)

@@ -236,18 +236,19 @@ def _rk4_ray(metric, x0, v0, s_stop, h):
     xs, vs = [x0], [v0]
     x, v = x0, v0
     truncated = False
-    for _ in range(n):
-        k1x, k1v = f(x, v)
-        k2x, k2v = f(x + 0.5 * step * k1x, v + 0.5 * step * k1v)
-        k3x, k3v = f(x + 0.5 * step * k2x, v + 0.5 * step * k2v)
-        k4x, k4v = f(x + step * k3x, v + step * k3v)
-        x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v)) and metric.in_chart(x)):
-            truncated = True
-            break
-        xs.append(x)
-        vs.append(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            k1x, k1v = f(x, v)
+            k2x, k2v = f(x + 0.5 * step * k1x, v + 0.5 * step * k1v)
+            k3x, k3v = f(x + 0.5 * step * k2x, v + 0.5 * step * k2v)
+            k4x, k4v = f(x + step * k3x, v + step * k3v)
+            x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+            v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v)) and metric.in_chart(x)):
+                truncated = True
+                break
+            xs.append(x)
+            vs.append(v)
     return np.linspace(0.0, s_stop, n + 1)[: len(xs)], np.array(xs), np.array(vs), truncated
 
 

@@ -21,6 +21,7 @@ from lorentz_gauge.geometry import (
     null_vector,
 )
 from lorentz_gauge.linalg import unitarity_residual
+from lorentz_gauge.transport import CutTimeCache, validate_query
 from lorentz_gauge.reconstruction import (
     DIAMOND_MARGIN,
     GaugeReconstruction,
@@ -274,6 +275,71 @@ def test_reconstruction_computes_each_cut_time_and_leg_once(planted, monkeypatch
     assert len(cache) == 30
 
 
+def test_honest_candidates_integrate_each_leg_once(planted, monkeypatch):
+    # an honest candidate integrates the two legs of its query once, in
+    # validate_query, and nothing before it: 12 candidates, 24 legs, 24 rays
+    import lorentz_gauge.reconstruction as rec_mod
+    import lorentz_gauge.transport as tr
+
+    counts = {"rays": 0, "honest": 0}
+    honest = [False]
+
+    def candidate(*args, **kwargs):
+        honest[0] = kwargs["mode"] == "honest"
+        counts["honest"] += honest[0]
+        try:
+            return gauge_candidate(*args, **kwargs)
+        finally:
+            honest[0] = False
+
+    def counted(fn, n_rays):
+        def wrapper(*args, **kwargs):
+            counts["rays"] += n_rays(args) if honest[0] else 0
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (rec_mod, tr):
+        if hasattr(mod, "integrate_geodesic"):
+            monkeypatch.setattr(mod, "integrate_geodesic",
+                                counted(mod.integrate_geodesic, lambda args: 1))
+        monkeypatch.setattr(mod, "integrate_geodesics",
+                            counted(mod.integrate_geodesics, lambda args: len(args[1])))
+    monkeypatch.setattr(rec_mod, "gauge_candidate", candidate)
+    a, _, b = planted
+    reconstruct_gauge(M3, *oracles(a, b), diamond_grid(M3, OBS, per_axis=3), OBS,
+                      k_directions=4)
+    assert counts == {"rays": 24, "honest": 12}
+
+
+HONEST_METRICS = {
+    "minkowski-2+1": (Minkowski(3), None, 40),
+    "cylinder": (Cylinder(), [0.4], 9),
+    "time-only-warp": (time_only_warp(), None, 40),
+}
+
+
+@pytest.mark.parametrize("name", list(HONEST_METRICS))
+def test_honest_incoming_leg_inside_when_its_endpoint_is(name):
+    # [DERIVED] on every metric with a cut time a leg is a straight line in
+    # coordinates in which (0, T) x B is convex, so the endpoint test of
+    # validate_query covers every sample of the honest incoming leg
+    import lorentz_gauge.reconstruction as rec_mod
+
+    metric, center, expected = HONEST_METRICS[name]
+    obs = ObservationSet(metric, T=6.0, radius=1.0, center=center)
+    cache = CutTimeCache(metric)
+    count = 0
+    for y in diamond_grid(metric, obs, per_axis=5):
+        if not obs.contains(y):
+            continue
+        for w, s_out in rec_mod._admissible_out_legs(metric, obs, y, 8, cache):
+            q = rec_mod._honest_incoming_query(metric, obs, y, w, s_out)
+            seg_in, _ = validate_query(metric, q, obs, cache=cache)
+            assert obs.contains(seg_in.x).all()
+            count += 1
+    assert count == expected
+
+
 def test_reconstruction_report_fields(planted):
     a, _, b = planted
     oa, ob = oracles(a, b)
@@ -351,9 +417,3 @@ def test_verify_theorem_identity_gauge_measures_difference(planted):
     assert res == pytest.approx(direct, rel=1e-10)
     assert res > 0.0
 
-
-def test_verify_theorem_fd_path(planted):
-    # callable phi without analytic differential exercises the FD branch
-    a, phi, b = planted
-    res, _ = verify_theorem(M3, a, b, lambda x: phi.value(x), sample_points(), fd_step=1e-5)
-    assert res < 1e-5

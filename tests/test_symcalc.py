@@ -424,6 +424,25 @@ def test_measurement_cauchy_in_r(rng):
     assert d2 < d1
 
 
+@pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, 3 * math.pi / 4])
+def test_measurement_miss_is_second_order_in_r(rng, theta):
+    # [DERIVED] at the default vertex the measurement misses S^A c by O(r^2)
+    # model error: along one sweep (one s') the worst normalised miss over
+    # the vectors falls by a factor of 4 each time r halves
+    a = random_connection(3, 2, rng, amplitude=0.1)
+    cs = np.array([unit_c(rng) for _ in range(8)])
+    sweep = build_interaction_sweep(M3, Y0, theta, R_SWEEP, OBS)
+    s = broken_transform(M3, a, sweep[-1].query(0.6), observation=OBS)
+    targets = [normalize_phase_scale(s @ c) for c in cs]
+    misses = []
+    for geom in sweep:
+        vecs, _ = simulated_measurement(M3, a, geom, cs, 0.6)
+        misses.append(max(np.linalg.norm(normalize_phase_scale(v) - t)
+                          for v, t in zip(vecs, targets)))
+    ratios = np.array(misses[:-1]) / np.array(misses[1:])
+    assert np.all((ratios >= 3.9) & (ratios <= 4.1)), ratios
+
+
 @pytest.mark.parametrize("mode", ["fixed_r", "limit"])
 def test_measurement_of_stacked_vectors_matches_vector_loop(rng, mode):
     a = random_connection(3, 2, rng, amplitude=0.3)
