@@ -66,11 +66,12 @@ class MatrixExpansion:
         return value, (-np.sin(arg) * (np.asarray(v, dtype=float) @ self.freqs.T)) @ self.table
 
     @classmethod
-    def random(cls, dim, n, rng, n_terms=2, amplitude=1.0, max_freq=2, n_waves=2):
+    def random(cls, dim, n, rng, amplitude=1.0, max_freq=2, n_waves=2):
+        """Two random terms f_k(x) X_k, each X_k of scale amplitude / 2."""
         terms = []
-        for _ in range(n_terms):
+        for _ in range(2):
             f = ScalarExpansion.random(dim, rng, n_waves=n_waves, amplitude=1.0, max_freq=max_freq)
-            xmat = random_skew_hermitian(n, rng, scale=amplitude / n_terms)
+            xmat = random_skew_hermitian(n, rng, scale=amplitude / 2)
             terms.append((f, xmat))
         return cls(dim, n, terms)
 
@@ -215,10 +216,8 @@ class GaugeField:
         return cls(MatrixExpansion(dim, n, []))
 
     @classmethod
-    def random(cls, dim, n, rng, cutoff=None, amplitude=1.0, max_freq=2, n_waves=2):
-        gen = MatrixExpansion.random(dim, n, rng, amplitude=amplitude, max_freq=max_freq,
-                                     n_waves=n_waves)
-        return cls(gen, cutoff)
+    def random(cls, dim, n, rng, cutoff=None, amplitude=1.0):
+        return cls(MatrixExpansion.random(dim, n, rng, amplitude=amplitude), cutoff)
 
 
 class GaugedConnection:
@@ -268,11 +267,9 @@ def random_connection(dim, n, rng, amplitude=1.0, max_freq=2, n_waves=2):
     return ConnectionField(comps)
 
 
-def random_gauge(dim, n, rng, observation=None, amplitude=1.0, width=1.0, max_freq=2, n_waves=2):
+def random_gauge(dim, n, rng, observation=None, amplitude=1.0, width=1.0):
     """Random gauge field, equal to the identity on the observation set if given."""
     cutoff = None
     if observation is not None:
         cutoff = RadialCutoff(dim, observation.radius, width=width, center=observation.center)
-    return GaugeField.random(
-        dim, n, rng, cutoff=cutoff, amplitude=amplitude, max_freq=max_freq, n_waves=n_waves
-    )
+    return GaugeField.random(dim, n, rng, cutoff=cutoff, amplitude=amplitude)

@@ -113,6 +113,17 @@ class Metric:
         """Index raising: the vector xi^sharp with g(xi^sharp, .) = xi."""
         return (self.inverse(x) @ np.asarray(xi, dtype=float)[..., None])[..., 0]
 
+    def orthonormal_frame(self, y):
+        """Columns e_0..e_{d-1}: g(e_0,e_0) = -1, g(e_a,e_b) = delta_ab.
+
+        The rescaled coordinate frame: every metric of the package is
+        diagonal (the identity on Minkowski and the cylinder).
+        """
+        g = self.matrix(y)
+        if not np.allclose(g, np.diag(np.diag(g))):
+            raise CapabilityError(f"orthonormal frames need a diagonal metric, not {self.name}")
+        return np.diag(1.0 / np.sqrt(np.abs(np.diag(g))))
+
     def validate_point(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):

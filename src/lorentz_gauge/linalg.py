@@ -162,7 +162,7 @@ def polar_project(u):
     return w @ vh
 
 
-def normalize_phase_scale(vec, tol=1e-14):
+def normalize_phase_scale(vec):
     """Scale to unit norm and rotate so the largest-modulus entry is positive-real.
 
     Removes the unknown positive-modulus scalar and its phase before
@@ -170,7 +170,7 @@ def normalize_phase_scale(vec, tol=1e-14):
     """
     vec = np.asarray(vec, dtype=complex)
     nrm = np.linalg.norm(vec)
-    if nrm < tol:
+    if nrm < 1e-14:
         return vec * 0.0
     v = vec / nrm
     k = int(np.argmax(np.abs(v)))

@@ -31,8 +31,8 @@ import numpy as np
 from .errors import AdmissibilityError, DomainError
 from .geometry import integrate_geodesic, integrate_geodesics, unit_directions
 from .linalg import polar_project, unitarity_residual
-from .symcalc import _orthonormal_frame
 from .transport import (
+    TOL_CUT,
     BrokenRayQuery,
     CutTimeCache,
     check_leg,
@@ -87,7 +87,7 @@ def _honest_incoming_query(metric, observation, y, w, s_out):
     s_in = 0.45 * min(y[0] - HONEST_MARGIN, room)
     if s_in <= HONEST_MARGIN:
         return None
-    frame = _orthonormal_frame(metric, y)
+    frame = metric.orthonormal_frame(y)
     wn = w / abs(w[0])
     for u in unit_directions(metric.dim - 1, max(4, metric.dim)):
         v = frame @ np.concatenate([[-1.0], u])
@@ -186,10 +186,10 @@ class GaugeReconstruction:
         ok = ~self.unresolved
         return float(np.max(self.spread[ok])) if np.any(ok) else 0.0
 
-    def value_at(self, y, atol=1e-9):
+    def value_at(self, y):
         d = np.linalg.norm(self.points - np.asarray(y, float), axis=1)
         i = int(np.argmin(d))
-        if d[i] > atol:
+        if d[i] > 1e-9:
             raise DomainError("point is not on the reconstruction grid")
         return self.values[i]
 
@@ -220,7 +220,7 @@ def _admissible_out_legs(metric, observation, y, k, cache):
     ray is then scanned for an arrival parameter that actually lands
     inside.
     """
-    frame = _orthonormal_frame(metric, y)
+    frame = metric.orthonormal_frame(y)
     nsp = metric.dim - 1
     targets = observation.center + 0.5 * observation.radius * unit_directions(nsp, k)
     dirs = []
@@ -236,7 +236,7 @@ def _admissible_out_legs(metric, observation, y, k, cache):
     aims = []
     for u in dirs:
         w = frame @ np.concatenate([[1.0], u])
-        s_hi = min(t_room * 1.5, cache.cut_time(y, w) - 1e-6)
+        s_hi = min(t_room * 1.5, cache.cut_time(y, w) - TOL_CUT)
         if s_hi > LEG_SCAN_MARGIN:
             aims.append((w, s_hi))
     if not aims:
@@ -307,27 +307,28 @@ def reconstruct_gauge(metric, oracle_a, oracle_b, grid, observation, k_direction
 # ---------------------------------------------------------------------------
 
 
-def verify_gauge_ode(metric, conn_a, conn_b, phi, samples, directions=None,
-                     fd_step=1e-5, bounds=None):
+# central-difference step of verify_gauge_ode
+FD_STEP = 1e-5
+
+
+def verify_gauge_ode(metric, conn_a, conn_b, phi, samples, bounds=None):
     """Max residual of <d phi, w> - (phi <A, w> - <B, w> phi) over the samples.
 
-    d phi by central differences of phi.value along each direction;
-    samples too close to the given bounds for differencing are skipped
-    and counted. Returns (max_residual, n_skipped).
+    d phi by central differences of phi.value, with step FD_STEP, along
+    each coordinate axis w; samples closer than that step to the given
+    bounds are skipped and counted. Returns (max_residual, n_skipped).
     """
-    if directions is None:
-        directions = np.eye(metric.dim)
     worst = 0.0
     skipped = 0
     for x in np.atleast_2d(np.asarray(samples, dtype=float)):
         if bounds is not None:
             lo, hi = bounds
-            if np.any(x - fd_step < lo) or np.any(x + fd_step > hi):
+            if np.any(x - FD_STEP < lo) or np.any(x + FD_STEP > hi):
                 skipped += 1
                 continue
         u = phi.value(x)
-        for w in directions:
-            dphi = (phi.value(x + fd_step * w) - phi.value(x - fd_step * w)) / (2.0 * fd_step)
+        for w in np.eye(metric.dim):
+            dphi = (phi.value(x + FD_STEP * w) - phi.value(x - FD_STEP * w)) / (2.0 * FD_STEP)
             rhs = u @ conn_a.pairing(x, w) - conn_b.pairing(x, w) @ u
             worst = max(worst, float(np.linalg.norm(dphi - rhs)))
     return worst, skipped

@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, GeometryError
+from .errors import DomainError, GeometryError
 from .geometry import (
     GeodesicSegment,
     _rk4_march,
@@ -234,18 +234,6 @@ def homogeneity_residual(metric, connection, x, xi, s, lam, mu, c, h=1e-3):
 # ---------------------------------------------------------------------------
 
 
-def _orthonormal_frame(metric, y):
-    """Columns e_0..e_{d-1}: g(e_0,e_0) = -1, g(e_a,e_b) = delta_ab.
-
-    The rescaled coordinate frame: every metric of the package is
-    diagonal (the identity on Minkowski and the cylinder).
-    """
-    g = metric.matrix(y)
-    if not np.allclose(g, np.diag(np.diag(g))):
-        raise CapabilityError(f"orthonormal frames need a diagonal metric, not {metric.name}")
-    return np.diag(1.0 / np.sqrt(np.abs(np.diag(g))))
-
-
 def causally_independent(metric, a, b):
     """True when neither point lies in the causal future of the other."""
     if metric.is_flat:
@@ -312,7 +300,7 @@ def build_interaction_sweep(metric, y, theta, r_sweep, observation, s_range=None
         raise DomainError("r must lie in (0, 1)")
     if min(abs(math.sin(theta)), 1.0 + math.cos(theta)) < 1e-6:
         raise GeometryError("degenerate interaction angle (theta near 0 or pi)")
-    frame = _orthonormal_frame(metric, y)
+    frame = metric.orthonormal_frame(y)
 
     def vec(components):
         comp = np.zeros(dim)
@@ -379,8 +367,8 @@ def build_interaction_sweep(metric, y, theta, r_sweep, observation, s_range=None
 # ---------------------------------------------------------------------------
 
 
-def interaction_symbol(sigma1, sigma2, sigma3, scale_factor=1.0):
-    """Sum over S(3) of Re<sigma_t(1), sigma_t(2)> sigma_t(3), scaled.
+def interaction_symbol(sigma1, sigma2, sigma3):
+    """Sum over S(3) of Re<sigma_t(1), sigma_t(2)> sigma_t(3).
 
     The symbols are vectors over leading axes; <a, b> = a^H b, taken as a
     stacked 1 x n by n x 1 product, which rounds like np.vdot of one pair.
@@ -390,7 +378,7 @@ def interaction_symbol(sigma1, sigma2, sigma3, scale_factor=1.0):
     for i, j, k in permutations(range(3)):
         inner = (np.conj(vals[i])[..., None, :] @ vals[j][..., :, None])[..., 0, 0]
         out = out + np.real(inner)[..., None] * vals[k]
-    return scale_factor * out
+    return out
 
 
 def _apply(p, c):
@@ -402,8 +390,8 @@ def _apply(p, c):
 class MeasurementScalar:
     """The opaque positive-modulus scalar multiplying a simulated measurement.
 
-    Collects every connection-independent factor (interaction constants,
-    kappa powers, density weights); only its A-independence is
+    Collects every connection-independent factor (the factor 6 of the
+    permutation sum and the kappa powers); only its A-independence is
     meaningful, so it is flagged unknown.
     """
 
@@ -411,57 +399,31 @@ class MeasurementScalar:
     unknown: bool = True
 
 
-def simulated_measurement(metric, connection, geom, c_tilde, s_out, mu=0.0,
-                          mode="fixed_r", h=1e-3, omega_spec=None):
+def simulated_measurement(metric, connection, geom, c_tilde, s_out):
     """Run the three-wave pipeline and return (vector, MeasurementScalar).
 
-    c_tilde is one unit vector (n,) or a stack (k, n); the vector returned
-    has its shape, and every transport is made once for the whole stack.
-
-    mode="fixed_r": transport c_tilde from each source to the vertex
-    along its leg, combine with interaction_symbol, transport outward.
-    mode="limit": the analytic r -> 0 limit, the broken transform of the
-    degenerate query applied to c_tilde.
+    c_tilde, one unit vector (n,) or a stack (k, n), is transported from
+    each source to the vertex along its leg with parallel_transport's
+    default step; the three are combined with interaction_symbol and
+    transported outward along w for s_out. The vector has c_tilde's shape
+    and equals S^A c_tilde up to the scalar and an O(r^2) error; every
+    transport is made once for the whole stack.
     """
     c_tilde = np.asarray(c_tilde, dtype=complex)
     if np.any(np.abs(np.linalg.norm(c_tilde, axis=-1) - 1.0) > 1e-9):
         raise DomainError("c_tilde must be a unit vector")
-    if omega_spec is None:
-        omega_spec = FlatDensity()
 
-    # connection-independent factors folded into the opaque scalar
-    lam_value = 6.0 * float(np.prod((geom.kappa / geom.r**2) ** (mu + 0.5)))
-    lam = MeasurementScalar(complex(lam_value))
+    lam = MeasurementScalar(complex(6.0 * float(np.prod((geom.kappa / geom.r**2) ** 0.5))))
 
     seg_out = integrate_geodesic(metric, geom.y, geom.w, s_out,
                                  h=min(1e-2, s_out / 50))
-    p_out = parallel_transport(metric, connection, seg_out, 0.0, s_out, h=h)
-    rho_out = 0.0
-    if not isinstance(omega_spec, FlatDensity):
-        bichar_out = integrate_bicharacteristic(
-            metric, geom.y, metric.flat(geom.y, geom.w), s_out, h=min(1e-2, s_out / 50)
-        )
-        rho_out = volume_factor(metric, bichar_out, omega_spec, s_out)
-
-    if mode == "limit":
-        p_in = parallel_transport(metric, connection, geom.segments[0], geom.s_in, 0.0, h=h)
-        vec = math.exp(-rho_out) * _apply(p_out, _apply(p_in, c_tilde))
-        return vec, lam
-
-    if mode != "fixed_r":
-        raise DomainError("mode must be 'fixed_r' or 'limit'")
-
+    p_out = parallel_transport(metric, connection, seg_out, 0.0, s_out)
     # incoming symbols at the vertex: transport c_tilde from x_(j) to y
     # (leg 1 via the reversal identity, numerically the reversed-parameter
     # transport along the stored segment)
-    at_vertex = [
-        _apply(parallel_transport(metric, connection, seg, geom.s_in, 0.0, h=h), c_tilde)
-        for seg in geom.segments
-    ]
-    vec = math.exp(-rho_out) * _apply(p_out, interaction_symbol(*at_vertex))
-    # the factor 6 of the permutation sum is part of the opaque scalar;
-    # keep the raw vector and the scalar separate
-    return vec, lam
+    at_vertex = [_apply(parallel_transport(metric, connection, seg, geom.s_in, 0.0), c_tilde)
+                 for seg in geom.segments]
+    return _apply(p_out, interaction_symbol(*at_vertex)), lam
 
 
 def _min_distance(a, b):
@@ -479,18 +441,21 @@ def _min_distance(a, b):
     return float(np.sqrt(d2.min()))
 
 
-def flowout_disjointness(metric, geom, s_out, s0_cone, n_samples=24,
-                         eps_excl=0.05, h=1e-2, rng=None):
+# RK4 step bound of the outgoing segment and of the flowout rays
+FLOWOUT_STEP = 1e-2
+
+
+def flowout_disjointness(metric, geom, s_out, s0_cone, n_samples=24, eps_excl=0.05):
     """Min distance between perturbed source flowouts and the outgoing segment.
 
     Each source x_(j) emits n_samples null geodesics with directions in a
     cone of opening s0_cone around xi_(j); points within eps_excl of the
     vertex are excluded before taking the distance to the outgoing
-    segment (which all legs meet at y by construction).
+    segment (which all legs meet at y by construction). The cone
+    directions are drawn from default_rng(0).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    seg_out = integrate_geodesic(metric, geom.y, geom.w, s_out, h=min(h, s_out / 100))
+    rng = np.random.default_rng(0)
+    seg_out = integrate_geodesic(metric, geom.y, geom.w, s_out, h=min(FLOWOUT_STEP, s_out / 100))
     out_pts = seg_out.position(np.linspace(0.0, s_out, 400))
     keep = np.linalg.norm(out_pts - geom.y, axis=1) > eps_excl
     out_pts = out_pts[keep]
@@ -509,7 +474,7 @@ def flowout_disjointness(metric, geom, s_out, s0_cone, n_samples=24,
     params = np.linspace(0.0, length, 400)
     best = math.inf
     for traj in integrate_geodesics(metric, np.stack(starts), np.stack(vels), length,
-                                    min(h, length / 200)):
+                                    min(FLOWOUT_STEP, length / 200)):
         pts = traj.position(params)
         pts = pts[~(np.linalg.norm(pts - geom.y, axis=1) <= eps_excl)]
         if len(pts) == 0 or len(out_pts) == 0:

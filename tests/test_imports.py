@@ -1,5 +1,6 @@
-"""Every name a module under src/ imports is used by that module, and
-importing the CLI loads no scipy.
+"""Every name a module under src/ imports is used by that module,
+importing the CLI loads no scipy, and the core layers import nothing
+from the three-wave layer or the CLI.
 
 No linter is installed, so this parses each module with ast. A name
 counts as used when it is read anywhere in the module, including as the
@@ -63,3 +64,36 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the layers below the three-wave simulation and the command line
+CORE = ["geometry", "linalg", "gauge", "transport", "reconstruction"]
+
+
+def _package_imports(tree):
+    """Modules of the package that an import statement names, as bare names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("lorentz_gauge."):
+                    yield alias.name.split(".")[1]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 or module.startswith("lorentz_gauge"):
+                path = module.removeprefix("lorentz_gauge").strip(".")
+                if path:
+                    yield path.split(".")[0]
+                else:
+                    yield from (alias.name for alias in node.names)
+
+
+def test_finds_package_imports():
+    src = ("from .symcalc import x\nfrom . import cli\nimport lorentz_gauge.gauge\n"
+           "from lorentz_gauge.linalg import y\nimport numpy\n")
+    assert list(_package_imports(ast.parse(src))) == ["symcalc", "cli", "gauge", "linalg"]
+
+
+@pytest.mark.parametrize("name", CORE)
+def test_core_imports_no_symcalc_or_cli(name):
+    tree = ast.parse((SRC / "lorentz_gauge" / f"{name}.py").read_text())
+    assert not {"symcalc", "cli"} & set(_package_imports(tree))
