@@ -461,7 +461,8 @@ def integrate_geodesics(metric, x0s, v0s, s_max, h, s_min=0.0):
 
     x0s and v0s are (R, dim) stacks; s_max, h and s_min are scalars or one
     value per ray, and each range must contain the start parameter 0.
-    Flat metrics take the exact straight-line path; otherwise one
+    Flat metrics take the exact straight-line path, whose velocities are
+    one read-only row broadcast over the samples; otherwise one
     fixed-step RK4 march carries every ray, each with step size at most
     its h, backward to s_min and forward to s_max.  ``truncated`` is set
     on a returned segment if its trajectory leaves the chart early.
@@ -488,7 +489,7 @@ def integrate_geodesics(metric, x0s, v0s, s_max, h, s_min=0.0):
             n = max(2, int(math.ceil((hi - lo) / hr)) + 1)
             s = np.linspace(lo, hi, n)
             segments.append(GeodesicSegment(metric, s, x0 + s[:, None] * v0,
-                                            np.broadcast_to(v0, (n, metric.dim)).copy()))
+                                            np.broadcast_to(v0.copy(), (n, metric.dim))))
         return segments
     # one march: the backward rays of negative s_min, then the forward rays
     back, fwd = np.flatnonzero(s_min < 0), np.flatnonzero(s_max > 0)

@@ -426,19 +426,47 @@ def simulated_measurement(metric, connection, geom, c_tilde, s_out):
     return _apply(p_out, interaction_symbol(*at_vertex)), lam
 
 
-def _min_distance(a, b):
-    """Min of |a_i - b_j| over the rows of a and b.
+_CHUNK = 16  # rows per chunk of _min_distance
+_BATCH = 32  # chunk pairs per evaluated batch of _min_distance
 
-    The squared distances are summed one coordinate at a time, in the
-    order of a norm over the last axis, into one (len(a), len(b)) block;
-    the sqrt of their minimum is the minimum of the norms.
+
+def _pair_d2(ca, cb):
+    """Squared distances of all row pairs of each chunk pair (ca[i], cb[i])."""
+    d2 = np.zeros((len(ca), _CHUNK, _CHUNK))
+    for k in range(ca.shape[2]):
+        d2 += np.square(ca[:, :, None, k] - cb[:, None, :, k])
+    return d2
+
+
+def _min_distance(a, b):
+    """Min of |a_i - b_j| over the rows of a and b, by an exact pruned search.
+
+    Rows are cut into chunks of _CHUNK, the last padded with its last row.
+    The squared gap of two chunks' boxes, sum_k max(0, lo_a - hi_b,
+    lo_b - hi_a)^2, bounds all their pairs from below; chunk pairs are
+    evaluated _BATCH at a time in stable order of it, until it exceeds the
+    best squared distance. Both sums run one coordinate at a time from 0,
+    as a norm over the last axis does. Rounding is monotone and lo_a <= p_k,
+    hi_b >= q_k, so the computed bound never exceeds the computed squared
+    distance of a pair it covers: only pairs that cannot hold the minimum
+    are skipped, and the result keeps the bits of the brute-force minimum.
     """
-    d2 = np.zeros((len(a), len(b)))
-    diff = np.empty_like(d2)
+    ca, cb = (p[np.minimum(np.arange(-(-len(p) // _CHUNK) * _CHUNK), len(p) - 1)]
+              .reshape(-1, _CHUNK, p.shape[1]) for p in (a, b))
+    lo_a, hi_a, lo_b, hi_b = ca.min(axis=1), ca.max(axis=1), cb.min(axis=1), cb.max(axis=1)
+    bound = np.zeros((len(ca), len(cb)))
     for k in range(a.shape[1]):
-        np.subtract.outer(a[:, k], b[:, k], out=diff)
-        d2 += np.square(diff, out=diff)
-    return float(np.sqrt(d2.min()))
+        gap = np.maximum(lo_a[:, None, k] - hi_b[:, k], lo_b[:, k] - hi_a[:, None, k])
+        bound += np.square(np.maximum(gap, 0.0))
+    order = np.argsort(bound, axis=None, kind="stable")
+    bound = bound.ravel()[order]
+    best = math.inf
+    for i in range(0, len(order), _BATCH):
+        if bound[i] > best:
+            break
+        ia, ib = np.divmod(order[i:i + _BATCH], len(cb))
+        best = min(best, float(_pair_d2(ca[ia], cb[ib]).min()))
+    return math.sqrt(best)
 
 
 # RK4 step bound of the outgoing segment and of the flowout rays
@@ -457,8 +485,7 @@ def flowout_disjointness(metric, geom, s_out, s0_cone, n_samples=24, eps_excl=0.
     rng = np.random.default_rng(0)
     seg_out = integrate_geodesic(metric, geom.y, geom.w, s_out, h=min(FLOWOUT_STEP, s_out / 100))
     out_pts = seg_out.position(np.linspace(0.0, s_out, 400))
-    keep = np.linalg.norm(out_pts - geom.y, axis=1) > eps_excl
-    out_pts = out_pts[keep]
+    out_pts = out_pts[np.linalg.norm(out_pts - geom.y, axis=1) > eps_excl]
     starts, vels = [], []
     for x_src, xi in zip(geom.x_legs, geom.xi_legs):
         base = np.asarray(xi, dtype=float)
@@ -472,12 +499,9 @@ def flowout_disjointness(metric, geom, s_out, s0_cone, n_samples=24, eps_excl=0.
             vels.append(v * abs(base[0]))
     length = geom.s_in + s_out
     params = np.linspace(0.0, length, 400)
-    best = math.inf
-    for traj in integrate_geodesics(metric, np.stack(starts), np.stack(vels), length,
-                                    min(FLOWOUT_STEP, length / 200)):
-        pts = traj.position(params)
-        pts = pts[~(np.linalg.norm(pts - geom.y, axis=1) <= eps_excl)]
-        if len(pts) == 0 or len(out_pts) == 0:
-            continue
-        best = min(best, _min_distance(pts, out_pts))
-    return best
+    pts = np.concatenate([traj.position(params) for traj in integrate_geodesics(
+        metric, np.stack(starts), np.stack(vels), length, min(FLOWOUT_STEP, length / 200))])
+    pts = pts[~(np.linalg.norm(pts - geom.y, axis=1) <= eps_excl)]
+    if len(pts) == 0 or len(out_pts) == 0:
+        return math.inf
+    return _min_distance(pts, out_pts)

@@ -9,6 +9,7 @@ from lorentz_gauge.expansions import ScalarExpansion
 from lorentz_gauge.gauge import random_connection
 from lorentz_gauge.geometry import (
     Cylinder,
+    GeodesicSegment,
     Minkowski,
     ObservationSet,
     WarpedProduct,
@@ -178,6 +179,23 @@ def test_flat_geodesic_is_straight():
     pos, vel = seg.state(1.234)
     assert np.allclose(pos, 1.234 * v, atol=1e-14)
     assert np.allclose(vel, v)
+
+
+@pytest.mark.parametrize("metric", [Minkowski(3), Cylinder()], ids=["minkowski", "cylinder"])
+def test_flat_segments_keep_one_velocity_row(metric):
+    # a flat segment stores its constant velocity as one broadcast row of
+    # its own, and state gives the bits of a segment that stores every row
+    x0s = np.array([[1.0, 0.2, 0.1], [2.0, -0.3, 0.4]])[:, : metric.dim]
+    v0s = np.array([[1.0, 0.6, 0.8], [-1.0, 0.8, -0.6]])[:, : metric.dim]
+    segments = integrate_geodesics(metric, x0s, v0s, [0.7, 0.9], [0.1, 0.03], s_min=-0.3)
+    for seg, v0 in zip(segments, v0s):
+        assert seg.v.strides[0] == 0
+        assert np.array_equal(seg.v, np.broadcast_to(v0, seg.x.shape))
+        assert not np.shares_memory(seg.v, v0s)
+        dense = GeodesicSegment(metric, seg.s, seg.x, np.array(seg.v))
+        for si in (np.array([-0.3, 0.0, 0.123, 0.7]), 0.123):
+            for got, want in zip(seg.state(si), dense.state(si)):
+                assert np.array_equal(got, want)
 
 
 def test_warped_null_geodesic_preserves_nullness():

@@ -1,4 +1,5 @@
-"""Property tests of the u(n) coordinates and of transport, with hypothesis.
+"""Property tests of the u(n) coordinates, of transport and of the
+flowout diagnostic's nearest-pair search, with hypothesis.
 
 Every test runs a fixed number of derandomized examples, so the suite
 stays deterministic. The transport tolerances are the acceptance
@@ -25,6 +26,7 @@ from lorentz_gauge.linalg import (
     u2_matrix,
     unitarity_residual,
 )
+from lorentz_gauge.symcalc import _min_distance
 from lorentz_gauge.transport import (
     CutTimeCache,
     broken_transform,
@@ -109,3 +111,34 @@ def test_broken_transform_gauge_invariant(metric, n, seed):
         sa = broken_transform(fx.metric, conn, q, observation=fx.observation, cache=cache)
         sb = broken_transform(fx.metric, conn_b, q, observation=fx.observation, cache=cache)
         assert np.linalg.norm(sa - sb) <= 1e-6
+
+
+@st.composite
+def point_sets(draw):
+    """Two point sets of 1-100 rows in dimension 2-4, in one of four layouts.
+
+    "lattice" puts both on a small integer grid, with duplicate points and
+    exact ties among the distances; "cluster" is a tight cluster against a
+    far set; "spread" and "scaled" are Gaussian at unit and at drawn
+    scale. Every layout may be offset by 1e3 in every coordinate.
+    """
+    dim, na, nb = draw(st.integers(2, 4)), draw(st.integers(1, 100)), draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["lattice", "cluster", "spread", "scaled"]))
+    offset = draw(st.sampled_from([0.0, 1e3]))
+    if layout == "lattice":
+        a, b = (rng.integers(-2, 3, (n, dim)).astype(float) for n in (na, nb))
+    elif layout == "cluster":
+        a = 1e-6 * rng.standard_normal((na, dim))
+        b = 30.0 + rng.standard_normal((nb, dim))
+    else:
+        scale = 10.0 ** draw(st.integers(-6, 2)) if layout == "scaled" else 1.0
+        a, b = (scale * rng.standard_normal((n, dim)) for n in (na, nb))
+    return offset + a, offset + b
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(sets=point_sets())
+def test_pruned_min_distance_is_the_brute_force_minimum(sets):
+    a, b = sets
+    assert _min_distance(a, b) == float(np.linalg.norm(a[:, None] - b[None], axis=2).min())

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lorentz_gauge import symcalc
 from lorentz_gauge.errors import DomainError, GeometryError
 from lorentz_gauge.expansions import ScalarExpansion
 from lorentz_gauge.gauge import ConnectionField, gauge_act, random_connection, random_gauge
@@ -485,6 +486,44 @@ def test_flowout_positive_and_monotone():
     assert ds[0] <= ds[1] <= ds[2]
 
 
+def test_flowout_search_prunes_pairs(monkeypatch):
+    # the nearest-pair search evaluates under 1% of the point pairs that a
+    # brute-force minimum over the same two point sets computes
+    geom = build_interaction_geometry(M3, Y0, math.pi / 2, 0.1, OBS)
+    pair_d2, min_distance = symcalc._pair_d2, symcalc._min_distance
+    evaluated, brute_force = [], []
+
+    def counting_pair_d2(ca, cb):
+        evaluated.append(ca.shape[0] * ca.shape[1] * cb.shape[1])
+        return pair_d2(ca, cb)
+
+    def counting_min_distance(a, b):
+        brute_force.append(len(a) * len(b))
+        return min_distance(a, b)
+
+    monkeypatch.setattr(symcalc, "_pair_d2", counting_pair_d2)
+    monkeypatch.setattr(symcalc, "_min_distance", counting_min_distance)
+    for cone in (0.1, 0.05, 0.025):
+        evaluated.clear()
+        brute_force.clear()
+        flowout_disjointness(M3, geom, 0.6, cone, n_samples=8)
+        assert 0 < sum(evaluated) < 0.01 * sum(brute_force)
+
+
+def test_min_distance_finds_a_closest_pair_in_every_chunk_pair():
+    # a unique closest pair planted in each pair of 16-row chunks in turn,
+    # among boxes that all overlap, so every batch position is reached
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(-1.0, 1.0, (100, 3)), rng.uniform(-1.0, 1.0, (100, 3))
+    for i in range(3, 100, 16):
+        for j in range(2, 100, 16):
+            near = b.copy()
+            near[j] = a[i] + 1e-6
+            brute_force = float(np.linalg.norm(a[:, None] - near[None], axis=2).min())
+            assert brute_force < 1e-5
+            assert symcalc._min_distance(a, near) == brute_force
+
+
 def test_flowout_vertex_on_both():
     # without the exclusion ball the distance collapses to ~0 at y
     geom = build_interaction_geometry(M3, Y0, math.pi / 2, 0.1, OBS)
@@ -526,8 +565,9 @@ def test_flowout_matches_norm_formula(metric):
 
 
 def test_flowout_memory_is_one_ray_block():
-    # the distance block of one ray is (400, ~390) doubles, 1.25 MB; the
-    # brute-force (400, 390, 3) difference of each ray peaks near 10 MB
+    # the 72 rays' points, 0.7 MB a copy, are searched together with one
+    # (32, 16, 16) block per batch (peak near 3.2 MB); the brute-force
+    # (400, 390, 3) difference of each ray alone peaks near 10 MB
     geom = build_interaction_geometry(M3, Y0, 1.2, 0.05, ObservationSet(M3, T=6.0, radius=2.0))
     flowout_disjointness(M3, geom, 0.6, 0.1, n_samples=24)
     tracemalloc.start()
