@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_SCENARIO, Fixture, ScenarioError, load_scenario, validate_scenario
 from .errors import AdmissibilityError, CapabilityError, DomainError, GeometryError
-from .gauge import gauge_act
+from .gauge import GaugeField, gauge_act
 from .geometry import (
     Cylinder,
     connect_null,
@@ -229,7 +229,7 @@ def run_reconstruct(fx, params, out_dir, strict):
     conn = fx.connection()
     negative = bool(params.get("negative_control", False))
     if negative:
-        phi = None
+        phi = GaugeField.identity(fx.metric.dim, fx.n)
         conn_b = fx.connection()  # independent draw: not gauge-equivalent
     else:
         phi = fx.gauge()
@@ -246,18 +246,12 @@ def run_reconstruct(fx, params, out_dir, strict):
     if strict:
         _check(checks, "reconstruct_unresolved", float(rec.n_unresolved), 0.5)
     samples = grid[:: max(1, len(grid) // 12)]
-    if phi is not None:
+    if not negative:
         err = max((float(np.linalg.norm(rec.values[i] - phi.value(rec.points[i])))
                    for i in np.flatnonzero(~rec.unresolved)), default=0.0)
         _check(checks, "reconstruct_recover_gauge", err, float(params["tol_recover"]))
-        ode, _ = verify_gauge_ode(fx.metric, conn, conn_b, phi, samples)
-        thm, _ = verify_theorem(fx.metric, conn, conn_b, phi, samples)
-    else:
-        from .gauge import GaugeField
-
-        ident = GaugeField.identity(fx.metric.dim, fx.n)
-        ode, _ = verify_gauge_ode(fx.metric, conn, conn_b, ident, samples)
-        thm, _ = verify_theorem(fx.metric, conn, conn_b, ident, samples)
+    ode, _ = verify_gauge_ode(fx.metric, conn, conn_b, phi, samples)
+    thm, _ = verify_theorem(fx.metric, conn, conn_b, phi, samples)
     rec.ode_residual = float(ode)
     rec.theorem_residual = float(thm)
     _check(checks, "verify_gauge_ode", ode, float(params["tol_ode"]))

@@ -57,7 +57,29 @@ def validate_scenario(obj):
         raise ScenarioError(exc.message, path=exc.json_path) from exc
     if obj.get("connection", {}).get("type", "random") == "random" and "seed" not in obj:
         raise ScenarioError("seed is mandatory for randomized fixtures", path="$.seed")
+    if obj["metric"]["kind"] == "warped":
+        _check_warped(obj["metric"])
     return obj
+
+
+def _check_warped(metric):
+    """The rules of a warped metric block that tie its fields together."""
+    dim = metric["dim"]
+    fields = [("$.metric.beta", metric["beta"])]
+    fields += [(f"$.metric.g0_diag[{i}]", f) for i, f in enumerate(metric.get("g0_diag", []))]
+    for path, spec in fields:
+        if spec["dim"] != dim:
+            raise ScenarioError(f"dim {spec['dim']} differs from the metric's {dim}",
+                                path=path + ".dim")
+        for j, wave in enumerate(spec.get("waves", [])):
+            if len(wave["freq"]) != dim:
+                raise ScenarioError(f"a frequency needs {dim} entries",
+                                    path=f"{path}.waves[{j}].freq")
+    for j, wave in enumerate(metric["beta"].get("waves", [])):
+        if metric.get("beta_time_only") and any(wave["freq"][1:]):
+            raise ScenarioError("beta_time_only declares beta a function of t alone, "
+                                "but this wave has a spatial frequency",
+                                path=f"$.metric.beta.waves[{j}].freq")
 
 
 def load_scenario(path):

@@ -412,17 +412,19 @@ def _hermite(p0, m0, p1, m1, t):
     )
 
 
-def _rk4_march(metric, x0, v0, s_stop, n_steps, rhs=None):
-    """Fixed-step RK4 of (x, v)' = rhs(metric, x, v) for a stack of rays.
+def _rk4_march(metric, x0, v0, s_stop, n_steps):
+    """Fixed-step RK4 of the geodesic equation (x, v)' = (v, a(x, v)) for a
+    stack of rays, a = metric.geodesic_acceleration.
 
     Ray r starts at (x0[r], v0[r]) with parameter 0 and takes n_steps[r]
     steps of s_stop[r] / n_steps[r]; the sign of s_stop sets its direction.
-    The default rhs is the geodesic equation (v, metric.geodesic_acceleration),
-    evaluated over the leading axis of the rays still marching.  A ray
+    a is evaluated over the leading axis of the rays still marching.  A ray
     stops early, truncated, when its point or velocity stops being finite
     or its point leaves the chart.  Returns one (xs, vs, truncated) per ray.
     """
-    rhs = rhs or (lambda metric, x, v: (v, metric.geodesic_acceleration(x, v)))
+    def rhs(x, v):
+        return v, metric.geodesic_acceleration(x, v)
+
     n_steps = np.asarray(n_steps, dtype=int)
     h = (np.asarray(s_stop, dtype=float) / n_steps)[:, None]
     n_rays = len(n_steps)
@@ -440,10 +442,10 @@ def _rk4_march(metric, x0, v0, s_stop, n_steps, rhs=None):
             going = n_steps[live] > i
             if not going.all():
                 live, x, v, h = live[going], x[going], v[going], h[going]
-            k1x, k1v = rhs(metric, x, v)
-            k2x, k2v = rhs(metric, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-            k3x, k3v = rhs(metric, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-            k4x, k4v = rhs(metric, x + h * k3x, v + h * k3v)
+            k1x, k1v = rhs(x, v)
+            k2x, k2v = rhs(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+            k3x, k3v = rhs(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+            k4x, k4v = rhs(x + h * k3x, v + h * k3v)
             x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
             v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
             ok = np.isfinite(x).all(axis=-1) & np.isfinite(v).all(axis=-1) & metric.in_chart(x)
@@ -745,13 +747,10 @@ SHOOT_STEP = 1e-2
 
 
 def _endpoint(metric, x, v, s):
-    if metric.is_flat:
+    if metric.is_flat:  # in closed form: a trial point allocates no samples
         return x + s * v
-    n = max(8, int(math.ceil(abs(s) / SHOOT_STEP)))
-    [(xs, _, truncated)] = _rk4_march(metric, x[None], v[None], [s], [n])
-    if truncated:
-        return np.full(metric.dim, 1e6)
-    return xs[-1]
+    seg = integrate_geodesic(metric, x, v, s, h=SHOOT_STEP)
+    return np.full(metric.dim, 1e6) if seg.truncated else seg.endpoint
 
 
 def connect_null(metric, x, y, n_starts=None):

@@ -7,6 +7,10 @@ symbol, the simulated measurement that reproduces the broken light-ray
 transform up to an opaque positive scalar, and the flowout-disjointness
 diagnostic.
 
+For the wave operator, the null bicharacteristics are the cotangent
+lifts (gamma, g(gamma', .)) of null geodesics, so every ray of this
+module, bicharacteristic or not, is an integrate_geodesics segment.
+
 Sign convention for the interaction covectors: eta = w^flat for the
 outgoing direction and eta_1 = +w_1^flat, eta_2 = -w_2^flat,
 eta_3 = -w_3^flat for the incoming ones. This is the unique choice for
@@ -24,14 +28,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .geometry import (
-    GeodesicSegment,
-    _rk4_march,
-    integrate_geodesic,
-    integrate_geodesics,
-    null_vector,
-    time_separation,
-)
+from .geometry import integrate_geodesic, integrate_geodesics, null_vector, time_separation
 from .transport import BrokenRayQuery, _cf4_product, _stage_params, parallel_transport
 
 # ---------------------------------------------------------------------------
@@ -39,19 +36,15 @@ from .transport import BrokenRayQuery, _cf4_product, _stage_params, parallel_tra
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Bicharacteristic:
-    """Sampled solution of the Hamiltonian system for H = 1/2 g^{ij} xi_i xi_j."""
+    """A null bicharacteristic of H = 1/2 g^{ij} xi_i xi_j: the cotangent lift
+    s -> (gamma(s), g(gamma'(s), .)) of a sampled null geodesic segment."""
 
-    metric: object
-    s: np.ndarray
-    x: np.ndarray
-    xi: np.ndarray
-    truncated: bool = False
-
-    @property
-    def s_max(self):
-        return float(self.s[-1])
+    def __init__(self, segment):
+        self.segment = segment
+        self.metric, self.s, self.x = segment.metric, segment.s, segment.x
+        self.s_max, self.truncated = segment.s_max, segment.truncated
+        self.xi = segment.metric.flat(segment.x, segment.v)
 
     def hamiltonian(self):
         """H = 1/2 g^{ij} xi_i xi_j at every sample."""
@@ -62,44 +55,28 @@ class Bicharacteristic:
         return float(np.max(np.abs(h - h[0])))
 
     def to_segment(self):
-        """Project to a GeodesicSegment (positions with v = xi^sharp)."""
-        vs = self.metric.sharp(self.x, self.xi)
-        return GeodesicSegment(self.metric, self.s, self.x, vs, truncated=self.truncated)
+        """The null geodesic segment under the bicharacteristic."""
+        return self.segment
 
     def state(self, si):
-        """Interpolated (x, xi) via the projected segment's Hermite data."""
-        pos, vel = self.to_segment().state(si)
+        """Interpolated (x, xi): the segment's Hermite state, lowered."""
+        pos, vel = self.segment.state(si)
         return pos, self.metric.flat(pos, vel)
 
 
-def _bichar_rhs(metric, x, xi):
-    """Hamilton's equations over the leading axes of x and xi."""
-    ginv = metric.inverse(x)
-    # d_k g^{ij} = -g^{il} (d_k g_lm) g^{mj}
-    dginv = -ginv[..., None, :, :] @ metric.partials(x) @ ginv[..., None, :, :]
-    return ((ginv @ xi[..., None])[..., 0],
-            -0.5 * np.einsum("...kij,...i,...j->...k", dginv, xi, xi))
-
-
 def integrate_bicharacteristic(metric, x0, xi0, s_max, h=1e-2):
-    """RK4 integration of the Hamiltonian system from a lightlike covector."""
+    """The bicharacteristic from a lightlike covector xi0 at x0.
+
+    Hamilton's equations of H project to the geodesic equation, so this
+    integrates the null geodesic through (x0, xi0^sharp) with
+    integrate_geodesic and lowers its velocity at the samples.
+    """
     x0 = metric.validate_point(x0)
     xi0 = np.asarray(xi0, dtype=float)
-    ginv = metric.inverse(x0)
-    if abs(0.5 * xi0 @ ginv @ xi0) > 1e-8 * max(1.0, float(xi0 @ xi0)):
+    v0 = metric.sharp(x0, xi0)
+    if abs(0.5 * xi0 @ v0) > 1e-8 * max(1.0, float(xi0 @ xi0)):
         raise DomainError("initial covector is not lightlike")
-    if metric.is_flat:
-        n = max(2, int(math.ceil(s_max / h)) + 1)
-        s = np.linspace(0.0, s_max, n)
-        xdot = ginv @ xi0
-        xs = x0 + s[:, None] * xdot
-        xis = np.broadcast_to(xi0, xs.shape).copy()
-        return Bicharacteristic(metric, s, xs, xis)
-    m = max(1, int(math.ceil(s_max / h)))
-    [(xs, xis, truncated)] = _rk4_march(metric, x0[None], xi0[None], [s_max], [m],
-                                        rhs=_bichar_rhs)
-    s = np.linspace(0.0, s_max, m + 1)[: len(xs)]
-    return Bicharacteristic(metric, s, xs, xis, truncated=truncated)
+    return Bicharacteristic(integrate_geodesic(metric, x0, v0, s_max, h=h))
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,36 @@ def test_interaction_geometry_failure_is_a_failed_check(tmp_path, capsys, vertex
     assert not checks["interaction_geometry"]["pass"]
 
 
+def beta_block(dim=3, freq=(0.5, 0, 0)):
+    return {"dim": dim, "constant": 1.0, "waves": [{"amp": 0.3, "freq": list(freq), "phase": 0}]}
+
+
+# warped metric blocks the scenario reader refuses, with the field it names
+MALFORMED_WARPS = {
+    "warp-without-beta": ({"kind": "warped", "dim": 3}, "$.metric"),
+    "warp-freq-of-wrong-length": ({"kind": "warped", "dim": 3, "beta": beta_block(freq=(0.5, 0))},
+                                  "$.metric.beta.waves[0].freq"),
+    "warp-beta-of-wrong-dim": ({"kind": "warped", "dim": 3,
+                                "beta": beta_block(dim=2, freq=(0.5, 0))}, "$.metric.beta.dim"),
+    # beta = 1 + 0.3 cos(x^1) declared a function of t alone
+    "time-only-warp-with-spatial-freq": ({"kind": "warped", "dim": 3, "beta_time_only": True,
+                                          "beta": beta_block(freq=(0, 1, 0))},
+                                         "$.metric.beta.waves[0].freq"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_WARPS)
+def test_malformed_warped_metric_is_usage_error(tmp_path, capsys, case):
+    block, path = MALFORMED_WARPS[case]
+    code, _ = run(tmp_path, "broken", extra={"metric": block})
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert f"scenario error at {path}:" in err
+
+
 SWEEP_METRICS = {
+    **{case: block for case, (block, _) in MALFORMED_WARPS.items()},
     "minkowski": {"kind": "minkowski", "dim": 3},
     "cylinder": {"kind": "cylinder"},
     "time-only-warp": {"kind": "warped", "dim": 3, "beta_time_only": True,
@@ -238,7 +267,9 @@ SWEEP_METRICS = {
 }
 # experiments that leave the metric's domain exit 2
 SWEEP_EXIT = {("broken", "vanishing-warp"): 2, ("reconstruct", "vanishing-warp"): 2,
-              ("interaction", "vanishing-warp"): 2}
+              ("interaction", "vanishing-warp"): 2,
+              # a malformed metric block stops every experiment before it starts
+              **{(command, case): 2 for case in MALFORMED_WARPS for command in EXPERIMENTS}}
 SWEEP_SIZES = {"geodesic": {"n_fixtures": 2}, "transport": {"n_fixtures": 2},
                "broken": {"n_queries": 3}}
 SWEEP = ([(command, metric, 2) for metric in SWEEP_METRICS for command in EXPERIMENTS]

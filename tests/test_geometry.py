@@ -684,6 +684,18 @@ def test_connect_null_no_solution():
     assert sols == []
 
 
+def test_connect_null_time_only_warp():
+    # the curved branch of the shooting: every trial ray is an RK4 march
+    m = warped_cosine()
+    x = np.array([1.0, 0.2, -0.1])
+    v = null_vector(m, x, np.array([0.6, 0.8]))
+    y = integrate_geodesic(m, x, v, 0.6).endpoint
+    sols, diag = connect_null(m, x, y, n_starts=2)
+    assert len(sols) == 1 and diag["n_converged"] >= 1
+    assert np.allclose(sols[0].v, v, atol=1e-8)
+    assert sols[0].s_arr == pytest.approx(0.6, abs=1e-8)
+
+
 def test_connect_null_identical_points():
     m = Minkowski(3)
     with pytest.raises(DomainError):

@@ -209,6 +209,23 @@ def test_bicharacteristic_batched_matches_sample_loop():
         np.testing.assert_allclose(xi, m.matrix(xs1) @ vs1, rtol=1e-15, atol=0)
 
 
+def test_bicharacteristic_is_the_geodesic_cotangent_lift():
+    # Hamilton's equations of H project to the geodesic equation, so the
+    # bicharacteristic is the integrate_geodesic ray with its velocity lowered
+    m = _warped_time_only()  # beta = 1 + 0.3 cos(t/2)
+    x0 = np.array([1.0, 0.2, -0.1])
+    xi0 = np.array([-math.sqrt(float(m.beta.value(x0))), 0.6, 0.8])
+    b = integrate_bicharacteristic(m, x0, xi0, 1.5, h=1e-2)
+    seg = integrate_geodesic(m, x0, m.sharp(x0, xi0), 1.5, h=1e-2)
+    assert np.array_equal(b.s, seg.s) and np.array_equal(b.x, seg.x)
+    assert np.array_equal(b.xi, m.flat(seg.x, seg.v))
+    assert not b.truncated and b.s_max == 1.5
+    nodes = np.linspace(0.0, 1.5, 7)
+    pos, vel = seg.state(nodes)
+    xs, xis = b.state(nodes)
+    assert np.array_equal(xs, pos) and np.array_equal(xis, m.flat(pos, vel))
+
+
 def test_transport_symbol_log_density_matches_node_loop(rng):
     m, b = warped_bichar()
     a = random_connection(3, 2, rng, amplitude=0.5)
