@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import json
 from importlib import resources
 
@@ -50,15 +51,26 @@ DEFAULT_SCENARIO = {
 }
 
 
+@functools.cache
+def _validator():
+    """A validator of the package's schema, built once."""
+    schema = _schema()
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def validate_scenario(obj):
-    try:
-        jsonschema.validate(obj, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ScenarioError(exc.message, path=exc.json_path) from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(obj))
+    if error is not None:
+        raise ScenarioError(error.message, path=error.json_path)
     if obj.get("connection", {}).get("type", "random") == "random" and "seed" not in obj:
         raise ScenarioError("seed is mandatory for randomized fixtures", path="$.seed")
     if obj["metric"]["kind"] == "warped":
         _check_warped(obj["metric"])
+    if "center" in obj["observation"]:
+        n_space = metric_from_json(obj["metric"]).dim - 1
+        if len(obj["observation"]["center"]) != n_space:
+            raise ScenarioError(f"the center needs {n_space} coordinates",
+                                path="$.observation.center")
     return obj
 
 

@@ -756,9 +756,10 @@ def _endpoint(metric, x, v, s):
 def connect_null(metric, x, y, n_starts=None):
     """All null geodesics from x to y found by multi-start shooting.
 
-    Velocities are normalized to unit time component (|v^0| = 1), so the
-    arrival parameter equals the coordinate-time lapse for t-static
-    metrics. Returns (solutions, diagnostics).
+    Velocities come from null_vector, so their spatial components have
+    Euclidean norm 1 and v^0 solves g(v, v) = 0. Only on the flat metrics
+    is |v^0| = 1 and the arrival parameter the coordinate-time lapse.
+    Returns (solutions, diagnostics).
     """
     from scipy.optimize import least_squares
     x = metric.validate_point(x)

@@ -186,13 +186,6 @@ class GaugeReconstruction:
         ok = ~self.unresolved
         return float(np.max(self.spread[ok])) if np.any(ok) else 0.0
 
-    def value_at(self, y):
-        d = np.linalg.norm(self.points - np.asarray(y, float), axis=1)
-        i = int(np.argmin(d))
-        if d[i] > 1e-9:
-            raise DomainError("point is not on the reconstruction grid")
-        return self.values[i]
-
     def to_json(self):
         return {
             "points": self.points.tolist(),

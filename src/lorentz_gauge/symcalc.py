@@ -1,15 +1,11 @@
 """Symbol-level simulation of the three-wave interaction measurement.
 
-Covers null bicharacteristics, wave-operator symbols, the volume factor,
-symbol transport with the subprincipal term, the three-source
-interaction geometry with its kappa coefficients, the interaction
-symbol, the simulated measurement that reproduces the broken light-ray
-transform up to an opaque positive scalar, and the flowout-disjointness
-diagnostic.
-
-For the wave operator, the null bicharacteristics are the cotangent
-lifts (gamma, g(gamma', .)) of null geodesics, so every ray of this
-module, bicharacteristic or not, is an integrate_geodesics segment.
+Covers the three-source interaction geometry with its kappa
+coefficients, the interaction symbol, the simulated measurement that
+reproduces the broken light-ray transform up to an opaque positive
+scalar, and the flowout-disjointness diagnostic. With the flat density,
+the principal symbol of each wave is transported by parallel_transport
+along its null geodesic, an integrate_geodesics segment.
 
 Sign convention for the interaction covectors: eta = w^flat for the
 outgoing direction and eta_1 = +w_1^flat, eta_2 = -w_2^flat,
@@ -29,182 +25,7 @@ import numpy as np
 
 from .errors import DomainError, GeometryError
 from .geometry import integrate_geodesic, integrate_geodesics, null_vector, time_separation
-from .transport import BrokenRayQuery, _cf4_product, _stage_params, parallel_transport
-
-# ---------------------------------------------------------------------------
-# bicharacteristics
-# ---------------------------------------------------------------------------
-
-
-class Bicharacteristic:
-    """A null bicharacteristic of H = 1/2 g^{ij} xi_i xi_j: the cotangent lift
-    s -> (gamma(s), g(gamma'(s), .)) of a sampled null geodesic segment."""
-
-    def __init__(self, segment):
-        self.segment = segment
-        self.metric, self.s, self.x = segment.metric, segment.s, segment.x
-        self.s_max, self.truncated = segment.s_max, segment.truncated
-        self.xi = segment.metric.flat(segment.x, segment.v)
-
-    def hamiltonian(self):
-        """H = 1/2 g^{ij} xi_i xi_j at every sample."""
-        return 0.5 * np.sum(self.xi * self.metric.sharp(self.x, self.xi), axis=-1)
-
-    def hamiltonian_drift(self):
-        h = self.hamiltonian()
-        return float(np.max(np.abs(h - h[0])))
-
-    def to_segment(self):
-        """The null geodesic segment under the bicharacteristic."""
-        return self.segment
-
-    def state(self, si):
-        """Interpolated (x, xi): the segment's Hermite state, lowered."""
-        pos, vel = self.segment.state(si)
-        return pos, self.metric.flat(pos, vel)
-
-
-def integrate_bicharacteristic(metric, x0, xi0, s_max, h=1e-2):
-    """The bicharacteristic from a lightlike covector xi0 at x0.
-
-    Hamilton's equations of H project to the geodesic equation, so this
-    integrates the null geodesic through (x0, xi0^sharp) with
-    integrate_geodesic and lowers its velocity at the samples.
-    """
-    x0 = metric.validate_point(x0)
-    xi0 = np.asarray(xi0, dtype=float)
-    v0 = metric.sharp(x0, xi0)
-    if abs(0.5 * xi0 @ v0) > 1e-8 * max(1.0, float(xi0 @ xi0)):
-        raise DomainError("initial covector is not lightlike")
-    return Bicharacteristic(integrate_geodesic(metric, x0, v0, s_max, h=h))
-
-
-# ---------------------------------------------------------------------------
-# symbols
-# ---------------------------------------------------------------------------
-
-
-def wave_symbols(metric, connection, x, xi):
-    """(principal, subprincipal) symbols of the connection wave operator.
-
-    principal = 1/2 g^{ij} xi_i xi_j (real scalar)
-    subprincipal = i^{-1} g^{ij} A_i xi_j (Hermitian matrix)
-    """
-    x = metric.validate_point(x)
-    xi = np.asarray(xi, dtype=float)
-    ginv = metric.inverse(x)
-    principal = 0.5 * float(xi @ ginv @ xi)
-    sub = connection.pairing(x, ginv @ xi) / 1j
-    return principal, sub
-
-
-@dataclass
-class SymbolState:
-    """The C^n part of a half-density-trivialized principal symbol."""
-
-    value: np.ndarray
-    degree: float = 0.5  # homogeneity degree mu + 1/2
-
-    def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=complex)
-        if not np.all(np.isfinite(self.value)):
-            raise DomainError("symbol value is not finite")
-
-
-class FlatDensity:
-    """Translation-invariant half density: the volume divergence vanishes."""
-
-    def divergence(self, x, xi):
-        """Zero over the leading axes of x."""
-        return np.zeros(np.shape(x)[:-1])
-
-
-class LogDerivativeDensity:
-    """Half density specified by the divergence f(x, xi) of H_P against it.
-
-    f takes one point and one covector; divergence calls it at each.
-    """
-
-    def __init__(self, f):
-        self.f = f
-
-    def divergence(self, x, xi):
-        """f over the leading axes of x and xi."""
-        return np.vectorize(self.f, signature="(n),(n)->()", otypes=[float])(x, xi)
-
-
-# Simpson intervals of the volume factor (an even count)
-VOLUME_INTERVALS = 400
-
-
-def volume_factor(metric, bichar, omega_spec, s):
-    """rho_vol(s) = integral_0^s div_omega H_P along the bicharacteristic (Simpson)."""
-    if s < 0 or s > bichar.s_max + 1e-12:
-        raise DomainError("parameter outside the bicharacteristic range")
-    if s == 0:
-        return 0.0
-    m = VOLUME_INTERVALS
-    nodes = np.linspace(0.0, s, m + 1)
-    vals = omega_spec.divergence(*bichar.state(nodes))
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float((s / m) / 3.0 * np.sum(w * vals))
-
-
-def transport_symbol(metric, connection, bichar, sigma0, s, omega_spec=None, h=1e-3):
-    """Transport a symbol along the bicharacteristic: the ODE route.
-
-    Solves c' = (K(s) - f(s) I) c with K the skew-Hermitian transport
-    generator and f the volume divergence, with the CF4 engine of
-    parallel_transport at the same Gauss nodes. The scalar part
-    commutes with everything, so it splits off exactly as one factor.
-    """
-    if omega_spec is None:
-        omega_spec = FlatDensity()
-    if s == 0:
-        return SymbolState(sigma0.value.copy(), sigma0.degree)
-    params, hs = _stage_params(0.0, s, h)
-    xs, vs = bichar.to_segment().state(params)
-    k1, k2 = np.split(-connection.pairing_coords(xs, vs), 2)
-    f = omega_spec.divergence(xs, metric.flat(xs, vs))
-    # the CF4 weights of each step sum to 1/2 per node, so the scalar
-    # factors multiply to one exponential of the Gauss-node sum
-    scalar = math.exp(-0.5 * hs * float(np.sum(f)))
-    return SymbolState(scalar * (_cf4_product(k1, k2, hs) @ sigma0.value), sigma0.degree)
-
-
-def transport_symbol_reference(metric, connection, bichar, sigma0, s, omega_spec=None, h=1e-3):
-    """Independent route: e^{-rho_vol(s)} . parallel_transport . sigma0."""
-    if omega_spec is None:
-        omega_spec = FlatDensity()
-    seg = bichar.to_segment()
-    p = parallel_transport(metric, connection, seg, 0.0, s, h=h)
-    rho = volume_factor(metric, bichar, omega_spec, s)
-    return SymbolState(math.exp(-rho) * (p @ sigma0.value), sigma0.degree)
-
-
-def homogeneity_residual(metric, connection, x, xi, s, lam, mu, c, h=1e-3):
-    """Residual of the lambda^{mu + 1/2} homogeneity law of the transported symbol.
-
-    The bicharacteristic from (x, lam xi) run to s / lam traverses the
-    same null geodesic; initial data positively homogeneous of degree
-    mu + 5/2 minus the two orders absorbed by the wave-operator
-    normalization must reproduce lam^{mu + 1/2} times the base run.
-    """
-    c = np.asarray(c, dtype=complex)
-    base = integrate_bicharacteristic(metric, x, xi, s, h=min(h, s / 50))
-    scaled = integrate_bicharacteristic(metric, x, lam * np.asarray(xi, float), s / lam,
-                                        h=min(h, s / (50 * lam)))
-    out_base = transport_symbol(metric, connection, base, SymbolState(c, mu + 0.5), s, h=h)
-    data = lam ** (mu + 2.5) * c
-    out_scaled = transport_symbol(
-        metric, connection, scaled, SymbolState(data, mu + 0.5), s / lam, h=h
-    )
-    lhs = lam ** (-2.0) * out_scaled.value
-    rhs = lam ** (mu + 0.5) * out_base.value
-    return float(np.linalg.norm(lhs - rhs))
-
+from .transport import BrokenRayQuery, parallel_transport
 
 # ---------------------------------------------------------------------------
 # interaction geometry

@@ -3,9 +3,11 @@ import math
 import subprocess
 import sys
 
+import jsonschema
 import pytest
 
 from lorentz_gauge.cli import EXPERIMENTS, main
+from lorentz_gauge.config import _schema
 from lorentz_gauge.transport import read_queries
 
 LIGHT = {
@@ -248,6 +250,48 @@ def test_malformed_warped_metric_is_usage_error(tmp_path, capsys, case):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert f"scenario error at {path}:" in err
+
+
+# scenario fields the reader refuses, with the command an unchecked value
+# would crash or pass on nothing in: a center of the wrong length is
+# broadcast against the points, and an empty sweep leaves the interaction
+# checks nothing to compare
+BAD_FIELDS = {
+    "center-of-three-entries": ("broken", {"observation": {"center": [0.1, 0.2, 0.3]}},
+                                "$.observation.center"),
+    "center-of-one-entry": ("interaction", {"observation": {"center": [0.1]}},
+                            "$.observation.center"),
+    "empty-thetas": ("interaction", {"interaction": {"thetas": []}}, "$.interaction.thetas"),
+    "empty-r-sweep": ("interaction", {"interaction": {"r_sweep": []}}, "$.interaction.r_sweep"),
+    "empty-cone-sweep": ("interaction", {"interaction": {"cone_sweep": []}},
+                         "$.interaction.cone_sweep"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FIELDS)
+def test_bad_field_is_usage_error(tmp_path, capsys, case):
+    command, extra, path = BAD_FIELDS[case]
+    code, _ = run(tmp_path, command, extra=extra)
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert f"scenario error at {path}:" in err
+
+
+@pytest.mark.parametrize("metric, center", [({"kind": "minkowski", "dim": 3}, [0.1, 0.2]),
+                                            ({"kind": "cylinder"}, [0.1])],
+                         ids=["minkowski", "cylinder"])
+def test_center_of_the_metric_length_is_accepted(tmp_path, metric, center):
+    # the cylinder is 1+1 whatever dim the merged defaults carry
+    code, _ = run(tmp_path, "geodesic",
+                  extra={"metric": metric, "observation": {"center": center}})
+    assert code == 0
+
+
+def test_scenario_schema_is_a_valid_schema():
+    # validate_scenario builds its validator once and does not re-check the schema
+    schema = _schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 SWEEP_METRICS = {

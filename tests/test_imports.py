@@ -97,3 +97,38 @@ def test_finds_package_imports():
 def test_core_imports_no_symcalc_or_cli(name):
     tree = ast.parse((SRC / "lorentz_gauge" / f"{name}.py").read_text())
     assert not {"symcalc", "cli"} & set(_package_imports(tree))
+
+
+def _private_package_names(tree):
+    """Underscore-prefixed names a module takes from the package: imported
+    by name, or read as an attribute of a package module it imports."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names
+                           if alias.name.startswith("lorentz_gauge"))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("lorentz_gauge")):
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+            if (node.module or "lorentz_gauge") == "lorentz_gauge":
+                modules.update(alias.asname or alias.name for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                yield node.attr
+
+
+def test_finds_private_package_names():
+    src = ("from .transport import _cf4_product, parallel_transport\n"
+           "from . import geometry as geo\nimport lorentz_gauge.linalg\n"
+           "from numpy import _private\ngeo._march(1)\ngeo.public\nlorentz_gauge.linalg._x\n")
+    assert set(_private_package_names(ast.parse(src))) == {"_cf4_product", "_march", "_x"}
+
+
+def test_symcalc_imports_no_private_name():
+    # the three-wave layer is built on the public names of the layers below it
+    tree = ast.parse((SRC / "lorentz_gauge" / "symcalc.py").read_text())
+    assert list(_private_package_names(tree)) == []

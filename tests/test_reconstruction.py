@@ -349,9 +349,6 @@ def test_reconstruction_report_fields(planted):
     for key in ("points", "values", "spread", "unresolved", "mode",
                 "ode_residual", "theorem_residual", "n_unresolved", "max_spread"):
         assert key in report
-    assert rec.value_at(grid[0]).shape == (N, N)
-    with pytest.raises(DomainError):
-        rec.value_at(grid[0] + 10.0)
 
 
 def test_unresolved_points_flagged(planted):
