@@ -320,7 +320,8 @@ def run_interaction(fx, params, out_dir, strict):
     _check(checks, "interaction_kappa_positive", 0.0 if min_kappa > 0 else 1.0, 0.5)
     _check(checks, "interaction_measurement_vs_transform", worst_meas,
            float(params["tol_measurement"]))
-    _check(checks, "interaction_cauchy_in_r", 0.0 if cauchy_ok else 1.0, 0.5)
+    if len(r_sweep) >= 3:  # fewer r values leave no two consecutive differences to compare
+        _check(checks, "interaction_cauchy_in_r", 0.0 if cauchy_ok else 1.0, 0.5)
     _check(checks, "interaction_flowout_disjoint", 0.0 if flow_ok else 1.0, 0.5)
     return {"checks": checks, "min_kappa": min_kappa}
 

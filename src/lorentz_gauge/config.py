@@ -66,6 +66,8 @@ def validate_scenario(obj):
         raise ScenarioError("seed is mandatory for randomized fixtures", path="$.seed")
     if obj["metric"]["kind"] == "warped":
         _check_warped(obj["metric"])
+    if obj["metric"]["kind"] == "cylinder" and obj["metric"].get("dim", 2) != 2:
+        raise ScenarioError("the cylinder is 1+1: dim must be 2", path="$.metric.dim")
     if "center" in obj["observation"]:
         n_space = metric_from_json(obj["metric"]).dim - 1
         if len(obj["observation"]["center"]) != n_space:
@@ -101,6 +103,9 @@ def load_scenario(path):
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}", path="$") from exc
     merged = copy.deepcopy(DEFAULT_SCENARIO)
+    # the default metric's fields belong to its kind; a block of another kind replaces it
+    if isinstance(obj.get("metric"), dict) and obj["metric"].get("kind") not in (None, "minkowski"):
+        del merged["metric"]
     _deep_update(merged, obj)
     return validate_scenario(merged)
 

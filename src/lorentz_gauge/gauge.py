@@ -124,20 +124,18 @@ class SmoothStep:
 
     @classmethod
     def value(cls, u):
-        u = np.asarray(u, dtype=float)
-        a = cls._f(u)
-        b = cls._f(1.0 - u)
-        return a / (a + b)
+        return cls.value_and_derivative(u)[0]
 
     @classmethod
-    def derivative(cls, u):
+    def value_and_derivative(cls, u):
         # with a = f(u), b = f(1 - u) and f' = f / u^2 on (0, 1): S' = a b (1 / u^2
         # + 1 / (1 - u)^2) / (a + b)^2, which vanishes outside (0, 1)
         u = np.asarray(u, dtype=float)
         a, b = cls._f(u), cls._f(1.0 - u)
         inside = (u > 0) & (u < 1)
         w = np.where(inside, u, 0.5)
-        return np.where(inside, a * b * (1.0 / w**2 + 1.0 / (1.0 - w) ** 2) / (a + b) ** 2, 0.0)
+        return a / (a + b), np.where(inside, a * b * (1.0 / w**2 + 1.0 / (1.0 - w) ** 2)
+                                     / (a + b) ** 2, 0.0)
 
 
 class RadialCutoff:
@@ -160,16 +158,16 @@ class RadialCutoff:
         x = np.asarray(x, dtype=float)
         return SmoothStep.value((self._radius(x) - self.r0) / self.width)
 
-    def grad(self, x):
+    def value_and_grad(self, x):
+        """chi(x) and its gradient from one radius and one smooth step."""
         x = np.asarray(x, dtype=float)
-        r = self._radius(x)
-        du = SmoothStep.derivative((r - self.r0) / self.width) / self.width
+        r = self._radius(x)[..., None]
+        chi, ds = SmoothStep.value_and_derivative((r[..., 0] - self.r0) / self.width)
+        d = x[..., 1:] - self.center
         out = np.zeros(x.shape)
-        safe = r > 1e-12
-        direction = np.zeros(x[..., 1:].shape)
-        direction[safe] = (x[..., 1:][safe] - self.center) / r[safe][..., None]
-        out[..., 1:] = du[..., None] * direction
-        return out
+        out[..., 1:] = (ds / self.width)[..., None] * np.divide(d, r, out=np.zeros(d.shape),
+                                                                where=r > 1e-12)
+        return chi, out
 
 
 class GaugeField:
@@ -185,13 +183,13 @@ class GaugeField:
     def log(self, x, v=None):
         """Coordinates of chi Psi at x, and of its derivative along v if given."""
         x = np.asarray(x, dtype=float)
-        chi = np.asarray(self.cutoff.value(x))[..., None]
         if v is None:
-            return chi * self.generator.coords(x)
+            return self.cutoff.value(x)[..., None] * self.generator.coords(x)
         v = np.asarray(v, dtype=float)
+        chi, grad = self.cutoff.value_and_grad(x)
         psi, dpsi_v = self.generator.coords(x, v)
-        dchi_v = np.einsum("...i,...i->...", v, self.cutoff.grad(x))[..., None]
-        return chi * psi, chi * dpsi_v + dchi_v * psi
+        dchi_v = np.einsum("...i,...i->...", v, grad)[..., None]
+        return chi[..., None] * psi, chi[..., None] * dpsi_v + dchi_v * psi
 
     def value(self, x):
         """phi(x), exactly unitary; batched over leading axes."""
@@ -240,11 +238,28 @@ class GaugedConnection:
 
         For n = 2, with phi = e^{i a} q and <A, v> = i c I + b . e, that is
         the phase da[v] + c and the quaternion q^-1 dq[v] + q^-1 (b . e) q.
+        Where the cutoff chi is exactly 0, phi = I and d phi = 0 (the smooth
+        step and its derivative vanish together, also where exp(-1/u)
+        underflows), so there it returns A's coordinates and evaluates the
+        gauge at the other points only.
         """
         a = self.base.pairing_coords(x, v)
         if self.n != 2:
             u, dphi_v = self.phi.value_and_derivative(x, v)
             return to_coords(adjoint(u) @ (dphi_v + from_coords(a) @ u))
+        live = self.phi.cutoff.value(x) != 0
+        if live.all():
+            return self._gauged_u2(x, v, a)
+        if not live.any():
+            return a
+        live = np.broadcast_to(live, a.shape[:-1])
+        x, v = (np.broadcast_to(y, live.shape + np.shape(y)[-1:])[live] for y in (x, v))
+        out = a.copy()
+        out[live] = self._gauged_u2(x, v, a[live])
+        return out
+
+    def _gauged_u2(self, x, v, a):
+        """The n = 2 gauged coordinates at x, v, where <A, v> has coordinates a."""
         log, dlog_v = self.phi.log(x, v)
         q, dq = quat_exp(log[..., 1:], dlog_v[..., 1:])
         # q * (1, -1, -1, -1) is q^-1; a * (0, 1, 1, 1) is b . e as a pure quaternion

@@ -20,7 +20,6 @@ from .geometry import integrate_geodesics, null_cut_time
 from .linalg import (
     expm_skew,
     from_coords,
-    hamilton,
     polar_project,
     quat_exp,
     to_coords,
@@ -34,6 +33,10 @@ _C1 = 0.5 - SQRT3 / 6.0
 _C2 = 0.5 + SQRT3 / 6.0
 _A1 = 0.25 + SQRT3 / 6.0
 _A2 = 0.25 - SQRT3 / 6.0
+# the Hamilton product of component-major quaternions: (p q)[i] is the sum over j, left to
+# right, of p[j] * q[_QIDX[i, j]] * _QSIGN[i, j], term for term as linalg.hamilton writes it
+_QIDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_QSIGN = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], float)[..., None]
 
 
 def _stage_params(a, b, h):
@@ -56,8 +59,8 @@ def _stage_generators(connection, segment, a, b, h):
     """
     params, hs = _stage_params(a, b, h)
     xs, vs = segment.state(params)
-    k1, k2 = np.split(-connection.pairing_coords(xs, vs), 2)
-    return k1, k2, hs
+    k = -connection.pairing_coords(xs, vs)
+    return k[: len(k) // 2], k[len(k) // 2 :], hs
 
 
 def _cf4_product(k1, k2, hs):
@@ -70,25 +73,39 @@ def _cf4_product(k1, k2, hs):
     padded with the identity at the end. For n <= 2 the phase commutes
     with everything: the CF4 weights of each step sum to 1/2 per node, so
     it is one exponential of the Gauss-node sum, and for n = 2 the tree
-    multiplies unit quaternions. Only the result becomes a matrix.
+    multiplies unit quaternions in _quat_tree. Only the result is a matrix.
     """
     n = math.isqrt(k1.shape[-1])
     gens = hs * np.stack([_A1 * k1 + _A2 * k2, _A2 * k1 + _A1 * k2], axis=1).reshape(-1, n * n)
     if n > 2:
-        return polar_project(_tree_product(expm_skew(from_coords(gens)), np.matmul, np.eye(n)))
+        return polar_project(_tree_product(expm_skew(from_coords(gens))))
     phase = 0.5 * hs * np.sum(k1[:, 0] + k2[:, 0])
     if n == 1:
         return polar_project(np.exp(1j * phase).reshape(1, 1))
-    q = _tree_product(quat_exp(gens[:, 1:]), hamilton, np.array([1.0, 0.0, 0.0, 0.0]))
-    return polar_project(u2_matrix(phase, q))
+    return polar_project(u2_matrix(phase, _quat_tree(quat_exp(gens[:, 1:]).T)))
 
 
-def _tree_product(u, mul, one):
-    """mul-product of the stack u, later elements on the left, pairwise by levels."""
+def _quat_tree(q):
+    """Product of the component-major quaternions q, shape (4, N), as _tree_product.
+
+    One broadcast product and one sum per level, with the bits of linalg.hamilton.
+    """
+    while q.shape[1] > 1:
+        if q.shape[1] % 2:
+            q = np.concatenate([q, np.eye(4, 1)], axis=1)
+        terms = q[_QIDX, ::2]
+        terms *= _QSIGN
+        terms *= q[None, :, 1::2]
+        q = np.add.reduce(terms, axis=1)
+    return q[:, 0]
+
+
+def _tree_product(u):
+    """Matrix product of the stack u, later elements on the left, pairwise by levels."""
     while len(u) > 1:
         if len(u) % 2:
-            u = np.concatenate([u, one[None]])
-        u = mul(u[1::2], u[::2])
+            u = np.concatenate([u, np.eye(u.shape[-1])[None]])
+        u = u[1::2] @ u[::2]
     return u[0]
 
 

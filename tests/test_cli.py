@@ -2,12 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from lorentz_gauge.cli import EXPERIMENTS, main
-from lorentz_gauge.config import _schema
+from lorentz_gauge.config import _schema, load_scenario
 from lorentz_gauge.transport import read_queries
 
 LIGHT = {
@@ -265,6 +266,9 @@ BAD_FIELDS = {
     "empty-r-sweep": ("interaction", {"interaction": {"r_sweep": []}}, "$.interaction.r_sweep"),
     "empty-cone-sweep": ("interaction", {"interaction": {"cone_sweep": []}},
                          "$.interaction.cone_sweep"),
+    # the cylinder is 1+1; a larger dim was ignored and every check passed
+    "cylinder-of-dim-5": ("geodesic", {"metric": {"kind": "cylinder", "dim": 5},
+                                       "observation": {"center": [0.1]}}, "$.metric.dim"),
 }
 
 
@@ -282,10 +286,15 @@ def test_bad_field_is_usage_error(tmp_path, capsys, case):
                                             ({"kind": "cylinder"}, [0.1])],
                          ids=["minkowski", "cylinder"])
 def test_center_of_the_metric_length_is_accepted(tmp_path, metric, center):
-    # the cylinder is 1+1 whatever dim the merged defaults carry
+    # the cylinder block takes no dim from the Minkowski default
     code, _ = run(tmp_path, "geodesic",
                   extra={"metric": metric, "observation": {"center": center}})
     assert code == 0
+
+
+def test_cylinder_block_without_dim_takes_no_default_dim(tmp_path):
+    scenario = load_scenario(write_config(tmp_path, CYLINDER))
+    assert scenario["metric"] == {"kind": "cylinder"}
 
 
 def test_scenario_schema_is_a_valid_schema():
@@ -353,6 +362,34 @@ def test_interaction_zero_connection_converges(tmp_path):
     report = json.loads((out / "report.json").read_text())
     checks = {c["name"]: c for c in report["results"]["interaction"]["checks"]}
     assert checks["interaction_cauchy_in_r"]["pass"]
+
+
+@pytest.mark.parametrize("r_sweep", [[0.1, 0.05], [0.1, 0.05, 0.025]], ids=["two-r", "three-r"])
+def test_cauchy_row_needs_two_differences_to_compare(tmp_path, r_sweep):
+    # two r values give one difference, so the check would pass having compared nothing
+    code, out = run(tmp_path, "interaction", extra={"connection": {"type": "zero"},
+                                                    "interaction": {"r_sweep": r_sweep}})
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    names = {c["name"] for c in report["results"]["interaction"]["checks"]}
+    rows = {line.split(",")[0] for line in (out / "residuals.csv").read_text().splitlines()}
+    present = len(r_sweep) >= 3
+    assert ("interaction_cauchy_in_r" in names) == present
+    assert ("interaction_cauchy_in_r" in rows) == present
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_checks.json").read_text())["checks"]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_default_check_values_match_the_recorded_ones(tmp_path, command):
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    values = {c["name"]: c["value"] for c in report["results"][command]["checks"]}
+    assert values.keys() == GOLDEN[command].keys()
+    for name, recorded in GOLDEN[command].items():
+        assert abs(values[name] - recorded) <= 1e-12 * max(1.0, abs(recorded)), name
 
 
 FAILING = {

@@ -77,10 +77,10 @@ def test_smooth_step_endpoints():
     assert s[3] == 1.0 and s[4] == 1.0
     assert 0.0 < s[2] < 1.0
     # derivative vanishes outside (0, 1) and matches FD inside
-    assert SmoothStep.derivative(np.array([-0.5, 1.5])).tolist() == [0.0, 0.0]
+    assert SmoothStep.value_and_derivative(np.array([-0.5, 1.5]))[1].tolist() == [0.0, 0.0]
     h = 1e-7
     fd = (SmoothStep.value(np.array([0.3 + h])) - SmoothStep.value(np.array([0.3 - h]))) / (2 * h)
-    assert abs(SmoothStep.derivative(np.array([0.3]))[0] - fd[0]) < 1e-6
+    assert abs(SmoothStep.value_and_derivative(np.array([0.3]))[1][0] - fd[0]) < 1e-6
 
 
 def test_radial_cutoff_vanishes_on_observation_set(rng):
@@ -91,7 +91,7 @@ def test_radial_cutoff_vanishes_on_observation_set(rng):
         xsp = xsp / np.linalg.norm(xsp) * rng.uniform(0, 0.999)
         x = np.concatenate([[t], xsp])
         assert cut.value(x) == 0.0
-        assert np.all(cut.grad(x) == 0.0)
+        assert np.all(cut.value_and_grad(x)[1] == 0.0)
     far = np.array([1.0, 3.0, 0.0])
     assert cut.value(far) == 1.0
 
@@ -172,8 +172,7 @@ def test_zero_connection():
 
 def _differential_per_direction(phi, x):
     """d_k phi from one Frechet derivative per coordinate direction."""
-    chi = phi.cutoff.value(x)
-    dchi = phi.cutoff.grad(x)
+    chi, dchi = phi.cutoff.value_and_grad(x)
     psi = from_coords(phi.generator.coords(x))
     dpsi = from_coords(phi.generator.coords(x[..., None, :], np.eye(DIM))[1])
     log = chi[..., None, None] * psi
@@ -198,3 +197,40 @@ def test_gauged_connection_matches_solve_formula(rng, n):
     assert np.max(np.abs(b.pairing(xs, vs) - pairing)) < 1e-12
     comps = np.linalg.solve(u[:, None], dphi + a.components(xs) @ u[:, None])
     assert np.max(np.abs(b.components(xs) - comps)) < 1e-12
+
+
+def test_gauged_pairing_evaluates_the_gauge_only_where_it_is_not_the_identity(monkeypatch):
+    # one wave per field: every product with a field's table has a single term, so
+    # a stack is evaluated with the bits of its points
+    def one_wave(amp, freq, phase, coords):
+        return MatrixExpansion(DIM, N, [(ScalarExpansion(DIM, waves=[(amp, freq, phase)]),
+                                         from_coords(np.array(coords)))])
+
+    a = ConnectionField([one_wave(0.7, [0.5, 1.0, -0.5], 0.3, [0.2, -0.6, 0.4, 0.5]),
+                         MatrixExpansion(DIM, N, []), MatrixExpansion(DIM, N, [])])
+    phi = GaugeField(one_wave(0.9, [0.0, -0.5, 1.0], 1.1, [-0.3, 0.8, 0.1, -0.7]),
+                     RadialCutoff(DIM, 1.0, width=1.0))
+    b = gauge_act(a, phi)
+    # spatial radii: inside the cutoff, 1 + 1e-4 where exp(-1/u) underflows to chi = 0,
+    # the ramp, and chi = 1
+    radii = np.array([0.0, 0.5, 2.5, 1.0 + 1e-4, 1.3, 0.99, 1.7, 3.0])
+    angles = np.linspace(0.0, 5.0, len(radii))
+    xs = np.column_stack([np.linspace(0.5, 4.0, len(radii)), radii * np.cos(angles),
+                          radii * np.sin(angles)])
+    vs = np.column_stack([np.ones(len(radii)), np.cos(2 * angles), np.sin(2 * angles)])
+    dead = phi.cutoff.value(xs) == 0
+    assert dead.tolist() == [True, True, False, True, False, True, False, False]
+    seen = []
+    coords = phi.generator.coords
+
+    def recording(x, v=None):
+        seen.append(np.atleast_2d(x))
+        return coords(x, v)
+
+    monkeypatch.setattr(phi.generator, "coords", recording)
+    stack = b.pairing_coords(xs, vs)
+    assert np.all(phi.cutoff.value(np.concatenate(seen)) != 0)
+    assert sum(len(x) for x in seen) == np.count_nonzero(~dead)
+    points = np.array([b.pairing_coords(x, v) for x, v in zip(xs, vs)])
+    assert stack.tobytes() == points.tobytes()
+    assert stack[dead].tobytes() == a.pairing_coords(xs, vs)[dead].tobytes()

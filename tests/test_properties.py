@@ -1,5 +1,6 @@
-"""Property tests of the u(n) coordinates, of transport and of the
-flowout diagnostic's nearest-pair search, with hypothesis.
+"""Property tests of the u(n) coordinates, of transport, of the CF4
+quaternion tree and of the flowout diagnostic's nearest-pair search,
+with hypothesis.
 
 Every test runs a fixed number of derandomized examples, so the suite
 stays deterministic. The transport tolerances are the acceptance
@@ -10,7 +11,7 @@ import copy
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm_frechet
 
@@ -23,6 +24,7 @@ from lorentz_gauge.linalg import (
     expm_skew,
     from_coords,
     hamilton,
+    quat_exp,
     u2_matrix,
     unitarity_residual,
 )
@@ -32,6 +34,7 @@ from lorentz_gauge.transport import (
     broken_transform,
     check_group_property,
     check_reversal,
+    _quat_tree,
     parallel_transport,
 )
 
@@ -73,6 +76,27 @@ def test_coordinate_exponential_matches_scipy(phase, theta, axis, direction):
     assert np.max(np.abs(expm_skew(x) - ref_u)) < 1e-13
     assert np.max(np.abs(u - ref_u)) < 1e-13
     assert np.max(np.abs(d - ref_d)) < 1e-13
+
+
+def hamilton_tree(q):
+    """Row-major pairwise tree of hamilton products, later elements on the left."""
+    while len(q) > 1:
+        if len(q) % 2:
+            q = np.concatenate([q, [[1.0, 0.0, 0.0, 0.0]]])
+        q = hamilton(q[1::2], q[::2])
+    return q[0]
+
+
+@FAST
+@example(length=1, seed=0)
+@example(length=257, seed=0)
+@example(length=300, seed=1)
+@given(length=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_quaternion_tree_has_the_bits_of_the_hamilton_tree(length, seed):
+    # 257 is odd at the first level and 300 at the third (75), so both pad with the identity
+    q = quat_exp(np.random.default_rng(seed).uniform(-0.3, 0.3, (length, 3)))
+    tree = _quat_tree(q.T)
+    assert tree.view(np.uint64).tolist() == hamilton_tree(q).view(np.uint64).tolist()
 
 
 @FAST
