@@ -13,6 +13,8 @@ exponential.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, IntegrityError
@@ -47,7 +49,8 @@ class MatrixExpansion:
             xmat = np.asarray(xmat, dtype=complex)
             if xmat.shape != (self.n, self.n):
                 raise DomainError("coefficient matrix has wrong shape")
-            if skew_residual(xmat) > 1e-12 * max(1.0, np.linalg.norm(xmat)):
+            # math.hypot: the Frobenius norm, without overflow in its squares
+            if skew_residual(xmat) > 1e-12 * max(1.0, math.hypot(*np.abs(xmat).flat)):
                 raise IntegrityError("coefficient matrix is not skew-Hermitian")
             self.terms.append((f, xmat))
             constant = [(f.constant, np.zeros(self.dim), 0.0)] if f.constant else []
@@ -58,12 +61,14 @@ class MatrixExpansion:
 
     def coords(self, x, v=None):
         """Coordinates of the value at x, and of its derivative along v if given."""
-        x = np.asarray(x, dtype=float)
-        arg = x @ self.freqs.T + self.phases
-        value = np.cos(arg) @ self.table
+        arg = np.asarray(x, dtype=float) @ self.freqs.T
+        arg += self.phases
         if v is None:
-            return value
-        return value, (-np.sin(arg) * (np.asarray(v, dtype=float) @ self.freqs.T)) @ self.table
+            return np.cos(arg, out=arg) @ self.table
+        value = np.cos(arg) @ self.table
+        vk = np.asarray(v, dtype=float) @ self.freqs.T  # broadcasts x in differential
+        np.negative(np.sin(arg, out=arg), out=arg)
+        return value, np.multiply(arg, vk, out=arg if vk.shape == arg.shape else None) @ self.table
 
     @classmethod
     def random(cls, dim, n, rng, amplitude=1.0, max_freq=2, n_waves=2):
@@ -95,9 +100,11 @@ class ConnectionField:
 
     def pairing_coords(self, x, v):
         """Coordinates of <A(x), v> = sum_i v^i A_i(x) over u_basis(n)."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return (v[..., self.axes] * np.cos(x @ self.freqs.T + self.phases)) @ self.table
+        arg = np.asarray(x, dtype=float) @ self.freqs.T
+        arg += self.phases
+        np.cos(arg, out=arg)
+        va = np.asarray(v, dtype=float)[..., self.axes]  # broadcasts x in components
+        return np.multiply(arg, va, out=arg if va.shape == arg.shape else None) @ self.table
 
     def pairing(self, x, v):
         """<A(x), v>, a skew-Hermitian matrix; batched over leading axes."""
@@ -129,10 +136,11 @@ class SmoothStep:
     @classmethod
     def value_and_derivative(cls, u):
         # with a = f(u), b = f(1 - u) and f' = f / u^2 on (0, 1): S' = a b (1 / u^2
-        # + 1 / (1 - u)^2) / (a + b)^2, which vanishes outside (0, 1)
+        # + 1 / (1 - u)^2) / (a + b)^2, which vanishes outside (0, 1) and where a or
+        # b underflows to 0 (there 1 / u^2 or 1 / (1 - u)^2 may overflow)
         u = np.asarray(u, dtype=float)
         a, b = cls._f(u), cls._f(1.0 - u)
-        inside = (u > 0) & (u < 1)
+        inside = (a != 0) & (b != 0)
         w = np.where(inside, u, 0.5)
         return a / (a + b), np.where(inside, a * b * (1.0 / w**2 + 1.0 / (1.0 - w) ** 2)
                                      / (a + b) ** 2, 0.0)
@@ -161,12 +169,12 @@ class RadialCutoff:
     def value_and_grad(self, x):
         """chi(x) and its gradient from one radius and one smooth step."""
         x = np.asarray(x, dtype=float)
-        r = self._radius(x)[..., None]
-        chi, ds = SmoothStep.value_and_derivative((r[..., 0] - self.r0) / self.width)
         d = x[..., 1:] - self.center
+        r = np.linalg.norm(d, axis=-1)[..., None]
+        chi, ds = SmoothStep.value_and_derivative((r[..., 0] - self.r0) / self.width)
         out = np.zeros(x.shape)
-        out[..., 1:] = (ds / self.width)[..., None] * np.divide(d, r, out=np.zeros(d.shape),
-                                                                where=r > 1e-12)
+        np.divide(d, r, out=out[..., 1:], where=r > 1e-12)
+        out[..., 1:] *= (ds / self.width)[..., None]
         return chi, out
 
 
@@ -180,13 +188,14 @@ class GaugeField:
         self.dim = generator.dim
         self.n = generator.n
 
-    def log(self, x, v=None):
-        """Coordinates of chi Psi at x, and of its derivative along v if given."""
+    def log(self, x, v=None, cutoff=None):
+        """Coordinates of chi Psi at x, and of its derivative along v if given (with cutoff,
+        chi and its gradient at x)."""
         x = np.asarray(x, dtype=float)
         if v is None:
             return self.cutoff.value(x)[..., None] * self.generator.coords(x)
         v = np.asarray(v, dtype=float)
-        chi, grad = self.cutoff.value_and_grad(x)
+        chi, grad = self.cutoff.value_and_grad(x) if cutoff is None else cutoff
         psi, dpsi_v = self.generator.coords(x, v)
         dchi_v = np.einsum("...i,...i->...", v, grad)[..., None]
         return chi[..., None] * psi, chi[..., None] * dpsi_v + dchi_v * psi
@@ -234,37 +243,44 @@ class GaugedConnection:
         self.n = base.n
 
     def pairing_coords(self, x, v):
-        """Coordinates of <A <| phi, v> = phi^H (d phi[v] + <A, v> phi).
+        """Coordinates of <A <| phi, v>: gauge_coords of A's at x, v."""
+        return self.gauge_coords(x, v, self.base.pairing_coords(x, v))
+
+    def gauge_coords(self, x, v, a):
+        """Coordinates of <A <| phi, v> = phi^H (d phi[v] + <A, v> phi) from a, those of <A, v>.
 
         For n = 2, with phi = e^{i a} q and <A, v> = i c I + b . e, that is
         the phase da[v] + c and the quaternion q^-1 dq[v] + q^-1 (b . e) q.
         Where the cutoff chi is exactly 0, phi = I and d phi = 0 (the smooth
         step and its derivative vanish together, also where exp(-1/u)
-        underflows), so there it returns A's coordinates and evaluates the
-        gauge at the other points only.
+        underflows), so there it keeps a (a itself where chi is 0 at every
+        point) and evaluates the gauge, with chi and its gradient from one
+        value_and_grad, at the other points only.
         """
-        a = self.base.pairing_coords(x, v)
         if self.n != 2:
             u, dphi_v = self.phi.value_and_derivative(x, v)
             return to_coords(adjoint(u) @ (dphi_v + from_coords(a) @ u))
-        live = self.phi.cutoff.value(x) != 0
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        chi, grad = self.phi.cutoff.value_and_grad(x)
+        live = chi != 0
         if live.all():
-            return self._gauged_u2(x, v, a)
+            return self._gauged_u2(x, v, a, (chi, grad))
         if not live.any():
             return a
         live = np.broadcast_to(live, a.shape[:-1])
-        x, v = (np.broadcast_to(y, live.shape + np.shape(y)[-1:])[live] for y in (x, v))
+        x, v, grad = (np.broadcast_to(y, live.shape + y.shape[-1:])[live] for y in (x, v, grad))
         out = a.copy()
-        out[live] = self._gauged_u2(x, v, a[live])
+        out[live] = self._gauged_u2(x, v, a[live], (np.broadcast_to(chi, live.shape)[live], grad))
         return out
 
-    def _gauged_u2(self, x, v, a):
+    def _gauged_u2(self, x, v, a, cutoff):
         """The n = 2 gauged coordinates at x, v, where <A, v> has coordinates a."""
-        log, dlog_v = self.phi.log(x, v)
+        log, dlog_v = self.phi.log(x, v, cutoff)
         q, dq = quat_exp(log[..., 1:], dlog_v[..., 1:])
         # q * (1, -1, -1, -1) is q^-1; a * (0, 1, 1, 1) is b . e as a pure quaternion
         rot = hamilton(q * [1, -1, -1, -1], dq + hamilton(a * [0, 1, 1, 1], q))
-        return np.concatenate([dlog_v[..., :1] + a[..., :1], rot[..., 1:]], -1)
+        rot[..., 0] = dlog_v[..., 0] + a[..., 0]
+        return rot
 
     pairing = ConnectionField.pairing
     components = ConnectionField.components

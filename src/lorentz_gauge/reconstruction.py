@@ -37,7 +37,7 @@ from .transport import (
     CutTimeCache,
     check_leg,
     matrix_to_json,
-    parallel_transport,
+    parallel_transports,
     validate_query,
 )
 
@@ -53,11 +53,11 @@ HONEST_MARGIN = 1e-3
 class TransformOracle:
     """Deterministic transport data source for one connection.
 
-    Its one operation, the transport along a given leg segment, yields both
-    the broken transforms of honest extraction and the per-leg transports of
-    synthetic extraction. ``observation`` is kept only for the positional
-    constructor call ``(metric, connection, observation, h)``; the caller
-    validates every leg.
+    The metric, connection and CF4 step h of a gauge candidate's transports,
+    which take both oracles' connections along each leg in one pass, so two
+    oracles of a candidate share metric and h. ``observation`` is kept only
+    for the positional constructor call ``(metric, connection, observation,
+    h)``; the caller validates every leg.
     """
 
     def __init__(self, metric, connection, observation=None, h=1e-3):
@@ -66,10 +66,6 @@ class TransformOracle:
         self.observation = observation
         self.h = h
         self.n = connection.n
-
-    def transport(self, seg, a, b):
-        """P along the segment from parameter a to parameter b."""
-        return parallel_transport(self.metric, self.connection, seg, a, b, h=self.h)
 
 
 def _honest_incoming_query(metric, observation, y, w, s_out):
@@ -105,18 +101,22 @@ def gauge_candidate(metric, oracle_a, oracle_b, y, w, s_out, observation=None,
     query whose incoming leg lies inside the observation set (requires
     y in the observation set; the incoming transport is computed from
     the a-priori-known connection there).
+    Both connections are transported along each leg in one
+    parallel_transports pass, so the oracles must share metric and h.
     """
+    if oracle_a.metric is not oracle_b.metric or oracle_a.h != oracle_b.h:
+        raise DomainError("the two oracles of a gauge candidate need one metric and one h")
     y = metric.validate_point(y)
     w = np.asarray(w, dtype=float)
     if cache is None:
         cache = CutTimeCache(metric)
+    conns = [oracle_a.connection, oracle_b.connection]
     if mode == "synthetic":
         check_leg(metric, y, "w", w, s_out, cache)
         seg = integrate_geodesic(metric, y, w, s_out, h=min(1e-2, s_out / 50))
         if observation is not None and not observation.contains(seg.endpoint):
             raise AdmissibilityError("outgoing endpoint outside the observation set")
-        pa = oracle_a.transport(seg, 0.0, s_out)
-        pb = oracle_b.transport(seg, 0.0, s_out)
+        pa, pb = parallel_transports(oracle_a.metric, conns, seg, 0.0, s_out, h=oracle_a.h)
         return polar_project(np.conj(pb.T) @ pa)
     if mode != "honest":
         raise DomainError("mode must be 'synthetic' or 'honest'")
@@ -127,9 +127,11 @@ def gauge_candidate(metric, oracle_a, oracle_b, y, w, s_out, observation=None,
         )
     seg_in, seg_out = validate_query(metric, q, observation, cache=cache)
     # the broken transforms S = P_out P_in of both connections on the validated legs
-    p_in = oracle_a.transport(seg_in, q.s_in, 0.0)
-    s_a = oracle_a.transport(seg_out, 0.0, q.s_out) @ p_in
-    s_b = oracle_b.transport(seg_out, 0.0, q.s_out) @ oracle_b.transport(seg_in, q.s_in, 0.0)
+    p_in, pb_in = parallel_transports(oracle_a.metric, conns, seg_in, q.s_in, 0.0, h=oracle_a.h)
+    pa_out, pb_out = parallel_transports(oracle_a.metric, conns, seg_out, 0.0, q.s_out,
+                                         h=oracle_a.h)
+    s_a = pa_out @ p_in
+    s_b = pb_out @ pb_in
     # S_B^{-1} S_A = P_in^{-1} (P^B_out)^{-1} P^A_out P_in with P_in the
     # shared incoming transport of the a-priori-known connection
     return polar_project(p_in @ np.conj(s_b.T) @ s_a @ np.conj(p_in.T))

@@ -9,6 +9,7 @@ accumulated floating-point drift.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -51,16 +52,27 @@ def _stage_params(a, b, h):
     return np.concatenate([steps + _C1 * hs, steps + _C2 * hs]), hs
 
 
-def _stage_generators(connection, segment, a, b, h):
-    """CF4 stage generators K = -<A, gamma'> at the Gauss nodes of each step.
+def _stage_generators(connections, segment, a, b, h):
+    """CF4 stage generators K = -<A, gamma'> of each connection at the Gauss nodes of each step.
 
-    Returns (k1, k2, hs) with k1, k2 of shape (m, n*n), the coordinates
-    of K over u_basis(n), and the signed step size hs.
+    The nodes and segment.state are made once, and each distinct pairing
+    once: a gauged connection whose base comes earlier gauges its base's
+    coordinates. Returns (stages, hs), one (k1, k2) per connection (one
+    object for one coordinates array), with k1, k2 of shape (m, n*n), the
+    coordinates of K over u_basis(n), and the signed step size hs.
     """
     params, hs = _stage_params(a, b, h)
     xs, vs = segment.state(params)
-    k = -connection.pairing_coords(xs, vs)
-    return k[: len(k) // 2], k[len(k) // 2 :], hs
+    coords, stages = {}, {}
+    for c in connections:
+        if id(c) not in coords:
+            base = coords.get(id(getattr(c, "base", None)))
+            coords[id(c)] = (c.pairing_coords(xs, vs) if base is None
+                             else c.gauge_coords(xs, vs, base))
+        k = coords[id(c)]
+        if id(k) not in stages:
+            stages[id(k)] = (-k[: len(k) // 2], -k[len(k) // 2 :])
+    return [stages[id(coords[id(c)])] for c in connections], hs
 
 
 def _cf4_product(k1, k2, hs):
@@ -73,16 +85,22 @@ def _cf4_product(k1, k2, hs):
     padded with the identity at the end. For n <= 2 the phase commutes
     with everything: the CF4 weights of each step sum to 1/2 per node, so
     it is one exponential of the Gauss-node sum, and for n = 2 the tree
-    multiplies unit quaternions in _quat_tree. Only the result is a matrix.
+    multiplies unit quaternions in _quat_tree. Only the result is a matrix,
+    and one that is not finite raises DomainError.
     """
     n = math.isqrt(k1.shape[-1])
     gens = hs * np.stack([_A1 * k1 + _A2 * k2, _A2 * k1 + _A1 * k2], axis=1).reshape(-1, n * n)
     if n > 2:
-        return polar_project(_tree_product(expm_skew(from_coords(gens))))
-    phase = 0.5 * hs * np.sum(k1[:, 0] + k2[:, 0])
-    if n == 1:
-        return polar_project(np.exp(1j * phase).reshape(1, 1))
-    return polar_project(u2_matrix(phase, _quat_tree(quat_exp(gens[:, 1:]).T)))
+        u = _tree_product(expm_skew(from_coords(gens)))
+    else:
+        phase = 0.5 * hs * np.sum(k1[:, 0] + k2[:, 0])
+        u = (np.exp(1j * phase).reshape(1, 1) if n == 1
+             else u2_matrix(phase, _quat_tree(quat_exp(gens[:, 1:]).T)))
+    # the entries of a finite product are at most 1 in modulus, so their sum is finite
+    if not cmath.isfinite(u.sum()):
+        raise DomainError("the transport is not finite: the connection or its gauge "
+                          "overflows floating point along the segment")
+    return polar_project(u)
 
 
 def _quat_tree(q):
@@ -116,18 +134,32 @@ def _check_range(segment, *params):
             raise DomainError("transport parameter outside the segment range")
 
 
+def parallel_transports(metric, connections, segment, a, b, h=1e-3):
+    """parallel_transport of each connection along one segment, in one pass, with its bits.
+
+    Connections with the same stage generators share one CF4 product.
+    """
+    _check_range(segment, a, b)
+    if a == b:
+        return [np.eye(c.n, dtype=complex) for c in connections]
+    # an overflow leaves a product that is not finite, which _cf4_product names
+    with np.errstate(over="ignore", invalid="ignore"):
+        stages, hs = _stage_generators(connections, segment, a, b, h)
+        products = {}
+        for k in stages:
+            if id(k) not in products:
+                products[id(k)] = _cf4_product(*k, hs)
+    return [products[id(k)] for k in stages]
+
+
 def parallel_transport(metric, connection, segment, a, b, h=1e-3):
     """Transport U(b) with dU/ds = -<A(gamma), gamma'> U, U(a) = I.
 
     a > b integrates the same equation with decreasing parameter, which
     equals the transport along the reversed parameterization of the
-    curve.
+    curve. The one-connection call of parallel_transports.
     """
-    _check_range(segment, a, b)
-    if a == b:
-        return np.eye(connection.n, dtype=complex)
-    k1, k2, hs = _stage_generators(connection, segment, a, b, h)
-    return _cf4_product(k1, k2, hs)
+    return parallel_transports(metric, [connection], segment, a, b, h=h)[0]
 
 
 def inverse_transport(metric, connection, segment, a, b, h=1e-3):
@@ -140,7 +172,7 @@ def inverse_transport(metric, connection, segment, a, b, h=1e-3):
     _check_range(segment, a, b)
     if a == b:
         return np.eye(connection.n, dtype=complex)
-    k1, k2, hs = _stage_generators(connection, segment, a, b, h)
+    [(k1, k2)], hs = _stage_generators([connection], segment, a, b, h)
     w_t = _cf4_product(*(to_coords(-np.swapaxes(from_coords(k), -1, -2)) for k in (k1, k2)), hs)
     return np.swapaxes(w_t, -1, -2).copy()
 
@@ -174,7 +206,7 @@ def check_reversal(metric, connection, y, v, s0, h=1e-3):
 def determinant_track_residual(metric, connection, segment, a, b, h=1e-3):
     """|det P - exp(-integral tr<A, gamma'>)|: the abelian reduction of transport."""
     _check_range(segment, a, b)
-    k1, k2, hs = _stage_generators(connection, segment, a, b, h)
+    [(k1, k2)], hs = _stage_generators([connection], segment, a, b, h)
     p = _cf4_product(k1, k2, hs)
     # two-point Gauss quadrature of the trace, exact to the same order
     tr = np.trace(from_coords(k1 + k2), axis1=-2, axis2=-1)

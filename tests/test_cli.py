@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorentz_gauge.cli import EXPERIMENTS, main
 from lorentz_gauge.config import _schema, load_scenario
@@ -269,6 +273,25 @@ BAD_FIELDS = {
     # the cylinder is 1+1; a larger dim was ignored and every check passed
     "cylinder-of-dim-5": ("geodesic", {"metric": {"kind": "cylinder", "dim": 5},
                                        "observation": {"center": [0.1]}}, "$.metric.dim"),
+    # unknown keys of a nested block passed silently: the misspelt count ran the
+    # default 20 queries, and the unknown metric key was ignored
+    "misspelt-broken-key": ("broken", {"broken": {"n_querys": 5}}, "$.broken"),
+    "unknown-metric-key": ("geodesic", {"metric": {"kind": "minkowski", "dim": 3,
+                                                   "dimension": 5}}, "$.metric"),
+    "unknown-expansion-key": ("geodesic", {"metric": {"kind": "warped", "dim": 3,
+                                                      "beta": {"dim": 3, "constant": 1.0,
+                                                               "wave": []}}},
+                              "$.metric.beta"),
+    "unknown-wave-key": ("geodesic", {"metric": {"kind": "warped", "dim": 3,
+                                                 "beta": {**beta_block(), "waves": [
+                                                     {"amp": 0.3, "freq": [0.5, 0, 0],
+                                                      "phase": 0, "width": 1}]}}},
+                         "$.metric.beta.waves[0]"),
+    # r >= 1 exited 2 with a message that named no field
+    "r-of-one": ("interaction", {"interaction": {"r_sweep": [0.1, 1.0]}},
+                 "$.interaction.r_sweep[1]"),
+    "negative-interaction-amplitude": ("interaction", {"interaction": {"amplitude": -0.1}},
+                                       "$.interaction.amplitude"),
 }
 
 
@@ -280,6 +303,31 @@ def test_bad_field_is_usage_error(tmp_path, capsys, case):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert f"scenario error at {path}:" in err
+
+
+def test_interaction_amplitude_is_declared(tmp_path):
+    # run_interaction draws its connection at interaction.amplitude
+    scenario = load_scenario(write_config(tmp_path, {"interaction": {"amplitude": 0.2}}))
+    assert scenario["interaction"]["amplitude"] == 0.2
+
+
+# a connection or gauge too large for floating point: the transport is not
+# finite, and its polar projection's SVD raised LinAlgError through a traceback
+NON_FINITE = {
+    "connection-amplitude-1e160": ("transport", {"connection": {"amplitude": 1e160}}),
+    "gauge-amplitude-1e200": ("broken", {"gauge": {"amplitude": 1e200}}),
+    "interaction-amplitude-1e200": ("interaction", {"interaction": {"amplitude": 1e200}}),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_transport_is_usage_error(tmp_path, capsys, case):
+    command, extra = NON_FINITE[case]
+    code, _ = run(tmp_path, command, extra=extra)
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "the transport is not finite" in err
 
 
 @pytest.mark.parametrize("metric, center", [({"kind": "minkowski", "dim": 3}, [0.1, 0.2]),
@@ -340,6 +388,37 @@ def test_cli_contract_sweep(tmp_path, capsys, command, metric, n):
     assert code in (0, 1, 2)
     assert code == SWEEP_EXIT.get((command, metric), code)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# every field the schema declares: (key,) at the top level, (block, key) inside a block
+SCHEMA_FIELDS = ([(key,) for key, spec in _schema()["properties"].items()
+                  if spec.get("type") != "object"]
+                 + [(block, key) for block, spec in _schema()["properties"].items()
+                    if spec.get("type") == "object" for key in spec["properties"]])
+UNKNOWN_KEY = "unknown-key"
+EDGE_VALUES = {"empty-array": [], "wrong-length": [0.1, 0.2, 0.3, 0.4], "zero": 0,
+               "negative": -1, "huge": 1e200, "wrong-type": "x", UNKNOWN_KEY: None}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(field=st.sampled_from(SCHEMA_FIELDS), edge=st.sampled_from(sorted(EDGE_VALUES)),
+       command=st.sampled_from(sorted(SWEEP_SIZES)))
+def test_edge_value_of_any_field_exits_by_contract(tmp_path_factory, field, edge, command):
+    # one field set to an edge value (or an unknown key beside it) exits 0, 1 or 2,
+    # never by an exception
+    cfg = json.loads(json.dumps(dict(LIGHT, **SWEEP_SIZES)))
+    block = cfg if len(field) == 1 else cfg.setdefault(field[0], {})
+    if edge == UNKNOWN_KEY:
+        block[field[-1] + "_unknown"] = 1
+    else:
+        block[field[-1]] = EDGE_VALUES[edge]
+    path = tmp_path_factory.mktemp("edge") / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(path), "--out", str(path.parent / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_interaction_sweep_shares_one_source_parameter(tmp_path):

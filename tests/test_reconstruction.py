@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from lorentz_gauge import transport
 from lorentz_gauge.errors import AdmissibilityError, DomainError
 from lorentz_gauge.gauge import (
     ConnectionField,
@@ -12,6 +15,7 @@ from lorentz_gauge.gauge import (
 from lorentz_gauge.expansions import ScalarExpansion
 from lorentz_gauge.geometry import (
     Cylinder,
+    GeodesicSegment,
     Minkowski,
     ObservationSet,
     WarpedProduct,
@@ -139,6 +143,48 @@ def test_candidate_honest_mode_inside_observation(planted):
     cand = gauge_candidate(M3, oa, ob, y, w, 0.4, observation=OBS, mode="honest")
     # phi = id on the observation set
     assert np.linalg.norm(cand - np.eye(N)) < 1e-9
+
+
+# (mode, vertex, outgoing direction, s'', legs): a synthetic candidate transports
+# along its outgoing leg, an honest one along both legs of its query
+CANDIDATE_LEGS = {"synthetic": ("synthetic", Y_OUT, None, S_OUT, 1),
+                  "honest": ("honest", np.array([2.0, 0.3, 0.2]), np.array([1.0, 0.6, 0.8]),
+                             0.4, 2)}
+
+
+@pytest.mark.parametrize("case", CANDIDATE_LEGS)
+def test_candidate_evaluates_a_and_the_leg_once_per_leg(planted, monkeypatch, case):
+    # the transports of A and B = A <| phi^-1 along one leg share the leg's state
+    # and A's pairing, which B's gauged pairing reuses; an honest leg lies where
+    # phi = id, so there B's product is A's
+    mode, y, w, s_out, legs = CANDIDATE_LEGS[case]
+    a, phi, b = planted
+    calls = Counter()
+
+    def count(owner, name):
+        def counting(*args, _original=getattr(owner, name)):
+            calls[name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(ConnectionField, "pairing_coords")
+    count(GeodesicSegment, "state")
+    count(transport, "_cf4_product")
+    w = outgoing_toward_center(y) if w is None else w
+    cand = gauge_candidate(M3, *oracles(a, b), y, w, s_out, observation=OBS, mode=mode)
+    assert calls == {"pairing_coords": legs, "state": legs, "_cf4_product": 2}
+    monkeypatch.undo()
+    assert np.linalg.norm(cand - phi.value(y)) < 1e-6
+
+
+def test_candidate_oracles_must_share_metric_and_h(planted):
+    a, _, b = planted
+    w = outgoing_toward_center(Y_OUT)
+    for ob in (TransformOracle(Minkowski(3), b, OBS), TransformOracle(M3, b, OBS, h=2e-3)):
+        with pytest.raises(DomainError, match="one metric and one h"):
+            gauge_candidate(M3, TransformOracle(M3, a, OBS), ob, Y_OUT, w, S_OUT,
+                            observation=OBS)
 
 
 def test_candidate_honest_mode_needs_observable_vertex(planted):

@@ -15,6 +15,7 @@ from lorentz_gauge.gauge import (
     MatrixExpansion,
     gauge_act,
     random_connection,
+    random_gauge,
 )
 from lorentz_gauge.geometry import (
     Cylinder,
@@ -48,6 +49,7 @@ from lorentz_gauge.transport import (
     matrix_from_json,
     matrix_to_json,
     parallel_transport,
+    parallel_transports,
     read_queries,
     run_batch,
     validate_query,
@@ -399,3 +401,32 @@ def test_gauged_transport_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def time_only_warp():
+    beta = ScalarExpansion(DIM, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
+    return WarpedProduct(DIM, beta, beta_time_only=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("metric", [M3, time_only_warp()], ids=["minkowski", "time-only-warp"])
+def test_shared_pass_has_the_bits_of_separate_transports(metric, n):
+    # A, A <| phi^-1 (phi = id on the observation set), and an independent C, along
+    # a leg that enters the observation set (the gauge is live on part of it) and
+    # along one inside it (the gauge is the identity at every node), both ways
+    obs = ObservationSet(metric, T=6.0, radius=1.0)
+    rng = np.random.default_rng(40 + n)
+    a = random_connection(DIM, n, rng, amplitude=0.6)
+    b = gauge_act(a, random_gauge(DIM, n, rng, observation=obs, amplitude=0.8).inverse())
+    c = random_connection(DIM, n, rng, amplitude=0.6)
+    legs = []
+    for y, aim, s in (([3.0, 1.8, 0.5], [-1.8, -0.5], 1.6), ([2.0, 0.3, 0.2], [0.6, 0.8], 0.4)):
+        seg = integrate_geodesic(metric, np.array(y), null_vector(metric, np.array(y), aim), s,
+                                 h=min(1e-2, s / 50))
+        legs += [(seg, 0.0, s), (seg, s, 0.0)]
+    for conns in ([a, b], [a, a], [a, c]):
+        for seg, lo, hi in legs:
+            shared = parallel_transports(metric, conns, seg, lo, hi, h=4e-3)
+            for u, conn in zip(shared, conns):
+                assert u.tobytes() == parallel_transport(metric, conn, seg, lo, hi,
+                                                         h=4e-3).tobytes()
