@@ -711,8 +711,10 @@ class ObservationSet:
         t = x[..., 0]
         d = x[..., 1:] - self.center
         # a stacked dot product rounds like the norm of one point, so a point
-        # on the boundary is decided alike alone and in a batch
-        r = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+        # on the boundary is decided alike alone and in a batch; one too far
+        # out for floating point has r = inf, which is outside
+        with np.errstate(over="ignore"):
+            r = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
         return (margin < t) & (t < self.T - margin) & (r < self.radius - margin)
 
     def middle_inside(self, segments, params, margin):

@@ -221,7 +221,10 @@ def _admissible_out_legs(metric, observation, y, k, cache):
     dirs = []
     for tgt in targets:
         d = tgt - y[1:]
-        nrm = np.linalg.norm(d)
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(d)
+        if nrm == np.inf:  # a point too far out for floating point aims at nothing
+            continue
         u = d / nrm if nrm > 1e-9 else unit_directions(nsp, 1)[0]
         if all(np.linalg.norm(u - u0) > 1e-9 for u0 in dirs):
             dirs.append(u)

@@ -187,19 +187,14 @@ def check_group_property(metric, connection, segment, a, b, c, h=1e-3):
     return float(np.linalg.norm(p_bc @ p_ab - p_ac))
 
 
-def check_reversal(metric, connection, y, v, s0, h=1e-3):
-    """|| P along gamma_{y,-v} over [0, -s0] - P along gamma_{y,v} over [0, s0] ||.
+def check_reversal(metric, connection, forward, reverse, h=1e-3):
+    """|| P along reverse over [0, -s0] - P along forward over [0, s0] ||, s0 = forward.s_max.
 
-    Both transports run from y to gamma_{y,v}(s0); the first traverses
-    the reversed parameterization, so the residual quantifies the
-    change-of-variables identity.
+    forward is gamma_{y,v} and reverse gamma_{y,-v}: both transports run from y to
+    gamma_{y,v}(s0), the second along the reversed parameterization (change of variables).
     """
-    h_geo = min(1e-2, s0 / 50)
-    v = np.asarray(v, dtype=float)
-    fwd, rev = integrate_geodesics(metric, np.stack([y, y]), np.stack([v, -v]), [s0, 0.0], h_geo,
-                                   s_min=[0.0, -s0])
-    p_fwd = parallel_transport(metric, connection, fwd, 0.0, s0, h=h)
-    p_rev = parallel_transport(metric, connection, rev, 0.0, -s0, h=h)
+    p_fwd = parallel_transport(metric, connection, forward, 0.0, forward.s_max, h=h)
+    p_rev = parallel_transport(metric, connection, reverse, 0.0, -forward.s_max, h=h)
     return float(np.linalg.norm(p_rev - p_fwd))
 
 
@@ -368,26 +363,26 @@ def matrix_from_json(obj):
     return (np.asarray(obj["re"]) + 1j * np.asarray(obj["im"])).reshape(n, n)
 
 
+def batch_record(q, u):
+    """The results.jsonl record of a query q whose transform S^A(q) is u."""
+    return {**q.to_json(), "status": "ok", "matrix": matrix_to_json(u),
+            "unitarity_residual": float(unitarity_residual(u))}
+
+
 def run_batch(metric, connection, queries, observation=None, h=1e-3):
     """Evaluate the broken transform on many queries.
 
-    Returns one record per query: the flattened matrix and its unitarity
-    residual, or the named admissibility failure.
+    Returns one record per query: batch_record's, or the named admissibility failure.
     """
     cache = CutTimeCache(metric)
     records = []
     for q in queries:
-        rec = q.to_json()
-        records.append(rec)
         try:
             u = broken_transform(metric, connection, q, observation=observation, cache=cache, h=h)
         except AdmissibilityError as exc:
-            rec["status"] = "inadmissible"
-            rec["error"] = str(exc)
+            records.append({**q.to_json(), "status": "inadmissible", "error": str(exc)})
             continue
-        rec["status"] = "ok"
-        rec["matrix"] = matrix_to_json(u)
-        rec["unitarity_residual"] = float(unitarity_residual(u))
+        records.append(batch_record(q, u))
     return records
 
 

@@ -23,6 +23,7 @@ from lorentz_gauge.geometry import (
     WarpedProduct,
     connect_null,
     integrate_geodesic,
+    integrate_geodesics,
     null_cut_time,
     null_vector,
 )
@@ -67,13 +68,16 @@ def transport_sweep():
         fx = Fixture(SCENARIO, seed=10_000 + i)
         conn = fx.connection()
         seg = _null_segment(fx)
+        fwd, rev = integrate_geodesics(M3, np.stack([seg.x[0], seg.x[0]]),
+                                       np.stack([seg.v[0], -seg.v[0]]), [2.0, 0.0],
+                                       min(1e-2, 2.0 / 50), s_min=[0.0, -2.0])
         u = parallel_transport(M3, conn, seg, 0.0, 2.0, h=1e-3)
         worst["unitarity"] = max(worst["unitarity"], unitarity_residual(u))
         worst["group"] = max(
             worst["group"], check_group_property(M3, conn, seg, 0.0, 0.9, 2.0, h=1e-3)
         )
         worst["reversal"] = max(
-            worst["reversal"], check_reversal(M3, conn, seg.x[0], seg.v[0], 2.0, h=1e-3)
+            worst["reversal"], check_reversal(M3, conn, fwd, rev, h=1e-3)
         )
     return worst
 
@@ -160,7 +164,7 @@ def test_criterion_07_gauge_invariance():
         queries = _admissible_queries(fx, 50, cache)
         assert len(queries) == 50
         total += len(queries)
-        for q in queries:
+        for q, _ in queries:
             sa = broken_transform(M3, conn, q, observation=OBS, cache=cache)
             sb = broken_transform(M3, conn_b, q, observation=OBS, cache=cache)
             worst = max(worst, float(np.linalg.norm(sa - sb)))
@@ -273,7 +277,7 @@ def test_criterion_13_negative_control(tmp_path):
             broken_transform(M3, conn_a, q, observation=OBS, cache=cache)
             - broken_transform(M3, conn_b, q, observation=OBS, cache=cache)
         ))
-        for q in queries
+        for q, _ in queries
     )
     cfg = tmp_path / "neg.json"
     cfg.write_text(json.dumps({

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz_gauge.cli import EXPERIMENTS, main
-from lorentz_gauge.config import _schema, load_scenario
-from lorentz_gauge.transport import read_queries
+from lorentz_gauge.cli import EXPERIMENTS, SEED_OFFSETS, main
+from lorentz_gauge.config import DEFAULT_SCENARIO, Fixture, _schema, load_scenario
+from lorentz_gauge.transport import read_queries, run_batch, write_results
 
 LIGHT = {
     "name": "light",
@@ -493,3 +493,49 @@ def test_cli_contract_failed_check(tmp_path, capsys, case):
     report = json.loads((out / "report.json").read_text())
     checks = {c["name"]: c for c in report["results"][command]["checks"]}
     assert not checks[check]["pass"]
+
+
+# marches and rays of the default experiment sizes on the time-only warp:
+# (RK4 marches, rays marched, rays through transport.integrate_geodesics)
+WARP_MARCHES = {"geodesic": (1, 10, 0), "transport": (1, 40, 0), "broken": (60, 140, 40)}
+
+
+@pytest.mark.parametrize("command", sorted(WARP_MARCHES))
+def test_experiments_march_each_ray_once(tmp_path, monkeypatch, command):
+    # the fixtures are drawn first and marched as one stack, a transport
+    # fixture's ray and its reverse included; a broken query's validated
+    # legs are the legs transported, for S^A and S^(A <| phi^-1) alike
+    import lorentz_gauge.geometry as geo
+    import lorentz_gauge.transport as tr
+
+    rk4_march, integrate_geodesics = geo._rk4_march, tr.integrate_geodesics
+    counts = [0, 0, 0]
+
+    def march(metric, x0, v0, s_stop, n_steps):
+        counts[0] += 1
+        counts[1] += len(n_steps)
+        return rk4_march(metric, x0, v0, s_stop, n_steps)
+
+    def legs(metric, x0s, *args, **kwargs):
+        counts[2] += len(x0s)
+        return integrate_geodesics(metric, x0s, *args, **kwargs)
+
+    monkeypatch.setattr(geo, "_rk4_march", march)
+    monkeypatch.setattr(tr, "integrate_geodesics", legs)
+    cfg = tmp_path / "warp.json"
+    cfg.write_text(json.dumps({"metric": SWEEP_METRICS["time-only-warp"]}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert tuple(counts) == WARP_MARCHES[command]
+
+
+def test_broken_records_are_the_records_of_run_batch(tmp_path):
+    # the one-pass S^A of the broken experiment is what run_batch makes of
+    # the queries it wrote, with the experiment's own connection and step
+    out = tmp_path / "out"
+    assert main(["broken", "--out", str(out)]) == 0
+    scenario = json.loads(json.dumps(DEFAULT_SCENARIO))
+    fx = Fixture(scenario, seed=scenario["seed"] + SEED_OFFSETS["broken"])
+    records = run_batch(fx.metric, fx.connection(), read_queries(out / "queries.jsonl"),
+                        observation=fx.observation, h=scenario["broken"]["h"])
+    write_results(tmp_path / "results.jsonl", records)
+    assert (tmp_path / "results.jsonl").read_bytes() == (out / "results.jsonl").read_bytes()

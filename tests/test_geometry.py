@@ -588,6 +588,13 @@ def test_batched_contains_matches_scalar_formula(rng):
     assert obs.contains(pts[:12].reshape(3, 4, 3)).shape == (3, 4)
 
 
+def test_contains_a_point_whose_squared_radius_overflows():
+    # r = inf is outside, without an overflow warning (which pytest makes an error)
+    obs = ObservationSet(Minkowski(3), T=6.0, radius=1.0)
+    assert not obs.contains(np.array([1.0, 1e200, 0.0]))
+    assert obs.contains(np.array([[1.0, 1e200, 0.0], [1.0, 0.5, 0.0]])).tolist() == [False, True]
+
+
 def _middle_inside_loop(obs, segments, params, margin):
     """Per-parameter scan: the middle of the parameters at which every point is inside."""
     valid = [float(s) for s in params

@@ -408,6 +408,16 @@ def test_unresolved_points_flagged(planted):
     assert np.array_equal(rec.values[0], np.eye(N))
 
 
+@pytest.mark.parametrize("x1", [1e150, 1e200])
+def test_point_too_far_out_for_floating_point_is_unresolved(planted, x1):
+    # at 1e200 the aim's norm overflows: no direction, so no leg, and no
+    # overflow warning (which pytest makes an error)
+    a, _, b = planted
+    rec = reconstruct_gauge(M3, *oracles(a, b), np.array([[1.0, x1, 0.0]]), OBS, k_directions=4)
+    assert rec.n_unresolved == 1
+    assert rec.mode[0] == "none"
+
+
 # -- verification -------------------------------------------------------------
 
 

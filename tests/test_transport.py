@@ -184,12 +184,14 @@ def test_group_property_ordering():
 
 
 def test_reversal_identity(rng):
-    assert check_reversal(M3, ConnectionField.zero(DIM, 2), np.zeros(DIM), NULL_V, 2.0) == 0.0
+    fwd, rev = integrate_geodesics(M3, np.zeros((2, DIM)), np.stack([NULL_V, -NULL_V]),
+                                   [2.0, 0.0], min(1e-2, 2.0 / 50), s_min=[0.0, -2.0])
+    assert check_reversal(M3, ConnectionField.zero(DIM, 2), fwd, rev) == 0.0
     a = random_connection(DIM, 2, rng)
-    assert check_reversal(M3, a, np.zeros(DIM), NULL_V, 2.0, h=1e-3) < 1e-8
+    assert check_reversal(M3, a, fwd, rev, h=1e-3) < 1e-8
     # abelian closed form: both orientations must give e^{-i lam s0}
     lam = 0.6
-    assert check_reversal(M3, abelian_dt(lam), np.zeros(DIM), NULL_V, 2.0) < 1e-10
+    assert check_reversal(M3, abelian_dt(lam), fwd, rev) < 1e-10
 
 
 def test_determinant_track(rng):
