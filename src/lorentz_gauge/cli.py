@@ -33,7 +33,7 @@ from .geometry import (
     null_vector,
     unit_directions,
 )
-from .linalg import normalize_phase_scale, unitarity_residual
+from .linalg import normalize_phase_scale
 from .reconstruction import (
     LEG_SCAN_MARGIN,
     LEG_SCAN_POINTS,
@@ -54,12 +54,8 @@ from .transport import (
     CutTimeCache,
     batch_record,
     broken_transform,
-    check_group_property,
-    check_reversal,
-    determinant_track_residual,
-    inverse_transport,
-    parallel_transport,
     parallel_transports,
+    transport_identities,
     validate_query,
     write_results,
 )
@@ -125,7 +121,6 @@ def run_transport(fx, params, out_dir, strict):
     checks = []
     h = float(params["h"])
     s_max = float(params["s_max"])
-    worst = {"unitarity": 0.0, "group": 0.0, "reversal": 0.0, "inverse": 0.0, "det": 0.0}
     n_fix = int(params["n_fixtures"])
     conns, x0s, vs, bs = zip(*((fx.connection(), *_random_null_start(fx),
                                 fx.rng.uniform(0.3, 0.7) * s_max) for _ in range(n_fix)))
@@ -133,23 +128,9 @@ def run_transport(fx, params, out_dir, strict):
     segs = integrate_geodesics(fx.metric, x0s + x0s, vs + tuple(-v for v in vs),
                                np.repeat([s_max, 0.0], n_fix), min(1e-2, s_max / 50),
                                s_min=np.repeat([0.0, -s_max], n_fix))
-    for conn, b, seg, rev in zip(conns, bs, segs[:n_fix], segs[n_fix:]):
-        u = parallel_transport(fx.metric, conn, seg, 0.0, s_max, h=h)
-        w = inverse_transport(fx.metric, conn, seg, 0.0, s_max, h=h)
-        worst["unitarity"] = max(worst["unitarity"], unitarity_residual(u))
-        worst["group"] = max(
-            worst["group"], check_group_property(fx.metric, conn, seg, 0.0, b, s_max, h=h)
-        )
-        worst["reversal"] = max(
-            worst["reversal"],
-            check_reversal(fx.metric, conn, seg, rev, h=h),
-        )
-        worst["inverse"] = max(
-            worst["inverse"], float(np.linalg.norm(w @ u - np.eye(fx.n)))
-        )
-        worst["det"] = max(
-            worst["det"], determinant_track_residual(fx.metric, conn, seg, 0.0, s_max, h=h)
-        )
+    residuals = [transport_identities(fx.metric, conn, seg, rev, b, h=h)
+                 for conn, b, seg, rev in zip(conns, bs, segs[:n_fix], segs[n_fix:])]
+    worst = {name: max(r[name] for r in residuals) for name in residuals[0]}
     _check(checks, "transport_unitarity", worst["unitarity"], 1e-10)
     _check(checks, "transport_group_property", worst["group"], float(params["tol_group"]))
     _check(checks, "transport_reversal", worst["reversal"], float(params["tol_reversal"]))

@@ -120,30 +120,30 @@ class ConnectionField:
 
 
 class SmoothStep:
-    """C-infinity step: 0 for u <= 0, 1 for u >= 1."""
+    """C-infinity step S(u) = a / (a + b) of the terms a = f(u), b = f(1 - u), with
+    f(u) = exp(-1/u) for u > 0 and 0 elsewhere: 0 for u <= 0, 1 for u >= 1."""
 
     @staticmethod
-    def _f(u):
-        out = np.zeros_like(u)
-        pos = u > 0
-        out[pos] = np.exp(-1.0 / u[pos])
-        return out
+    def terms(u):
+        ab = np.stack([u, 1.0 - np.asarray(u, dtype=float)])
+        pos = ab > 0
+        out = np.zeros_like(ab)
+        out[pos] = np.exp(-1.0 / ab[pos])
+        return out[0, ...], out[1, ...]
 
     @classmethod
     def value(cls, u):
-        return cls.value_and_derivative(u)[0]
+        a, b = cls.terms(u)
+        return a / (a + b)
 
-    @classmethod
-    def value_and_derivative(cls, u):
-        # with a = f(u), b = f(1 - u) and f' = f / u^2 on (0, 1): S' = a b (1 / u^2
-        # + 1 / (1 - u)^2) / (a + b)^2, which vanishes outside (0, 1) and where a or
-        # b underflows to 0 (there 1 / u^2 or 1 / (1 - u)^2 may overflow)
-        u = np.asarray(u, dtype=float)
-        a, b = cls._f(u), cls._f(1.0 - u)
+    @staticmethod
+    def derivative(u, a, b):
+        # with f' = f / u^2 on (0, 1): S' = a b (1 / u^2 + 1 / (1 - u)^2) / (a + b)^2, which
+        # vanishes outside (0, 1) and where a or b underflows to 0 (there 1 / u^2 or
+        # 1 / (1 - u)^2 may overflow)
         inside = (a != 0) & (b != 0)
         w = np.where(inside, u, 0.5)
-        return a / (a + b), np.where(inside, a * b * (1.0 / w**2 + 1.0 / (1.0 - w) ** 2)
-                                     / (a + b) ** 2, 0.0)
+        return np.where(inside, a * b * (1.0 / w**2 + 1.0 / (1.0 - w) ** 2) / (a + b) ** 2, 0.0)
 
 
 class RadialCutoff:
@@ -159,23 +159,27 @@ class RadialCutoff:
         self.width = float(width)
         self.center = np.zeros(dim - 1) if center is None else np.asarray(center, dtype=float)
 
-    def _radius(self, x):
-        return np.linalg.norm(x[..., 1:] - self.center, axis=-1)
-
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return SmoothStep.value((self._radius(x) - self.r0) / self.width)
+        d = np.asarray(x, dtype=float)[..., 1:] - self.center
+        return SmoothStep.value((np.linalg.norm(d, axis=-1) - self.r0) / self.width)
 
     def value_and_grad(self, x):
-        """chi(x) and its gradient from one radius and one smooth step."""
+        """chi(x) and its gradient from one radius and one smooth step, the gradient
+        where chi != 0 only: elsewhere S and S' vanish together."""
         x = np.asarray(x, dtype=float)
         d = x[..., 1:] - self.center
-        r = np.linalg.norm(d, axis=-1)[..., None]
-        chi, ds = SmoothStep.value_and_derivative((r[..., 0] - self.r0) / self.width)
-        out = np.zeros(x.shape)
-        np.divide(d, r, out=out[..., 1:], where=r > 1e-12)
-        out[..., 1:] *= (ds / self.width)[..., None]
-        return chi, out
+        r = np.linalg.norm(d, axis=-1)
+        u = (r - self.r0) / self.width
+        a, b = SmoothStep.terms(u)
+        chi, grad = a / (a + b), np.zeros(x.shape)
+        # the rows of the flattened points where chi != 0, as indices unless that is all of them
+        live = np.flatnonzero(chi)
+        live = slice(None) if len(live) == chi.size else live
+        d, r = d.reshape(-1, d.shape[-1])[live], r.reshape(-1, 1)[live]
+        out = np.divide(d, r, out=np.zeros(d.shape), where=r > 1e-12)
+        out *= (SmoothStep.derivative(*(y.ravel()[live] for y in (u, a, b))) / self.width)[:, None]
+        grad.reshape(-1, x.shape[-1])[live, 1:] = out
+        return chi, grad
 
 
 class GaugeField:

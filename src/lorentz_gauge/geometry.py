@@ -105,6 +105,15 @@ class Metric:
         v = np.asarray(v, dtype=float)[..., :, None]
         return (u @ self.matrix(x) @ v)[..., 0, 0]
 
+    def is_null(self, x, v):
+        """|g_x(v, v)| <= 1e-8 max(1, v . v) for one vector v (False for NaN entries), on v
+        scaled by a power of two to entries below 1 (2^500 at most): g is homogeneous of
+        degree 2, so both sides keep their bits up to one power of two, and none overflows."""
+        v = np.asarray(v, dtype=float)
+        e = max(int(np.frexp(np.max(np.abs(v)))[1]), -500)
+        v = np.ldexp(v, -e)
+        return bool(abs(self.inner(x, v, v)) <= 1e-8 * max(math.ldexp(1.0, -2 * e), float(v @ v)))
+
     def flat(self, x, v):
         """Index lowering: the covector v^flat = g(v, .)."""
         return (self.matrix(x) @ np.asarray(v, dtype=float)[..., None])[..., 0]
@@ -607,7 +616,7 @@ def null_cut_time(metric, x, v, s_max=None):
     """
     x = metric.validate_point(x)
     v = np.asarray(v, dtype=float)
-    if abs(metric.inner(x, v, v)) > 1e-8 * max(1.0, float(v @ v)):
+    if not metric.is_null(x, v):
         raise DomainError("initial vector is not null")
     if v[0] == 0:
         raise DomainError("initial vector must be time-oriented")

@@ -528,6 +528,30 @@ def test_experiments_march_each_ray_once(tmp_path, monkeypatch, command):
     assert tuple(counts) == WARP_MARCHES[command]
 
 
+def test_transport_fixture_makes_each_transport_once(tmp_path, monkeypatch):
+    # one fixture's identities: stage generators on [0, s0], [0, b], [b, s0] and the
+    # reverse's [0, -s0]; CF4 products of those four and the inverse's transposed one
+    import lorentz_gauge.transport as tr
+
+    counts = {"stages": 0, "products": 0}
+    stage_generators, cf4_product = tr._stage_generators, tr._cf4_product
+
+    def stages(*args):
+        counts["stages"] += 1
+        return stage_generators(*args)
+
+    def product(*args):
+        counts["products"] += 1
+        return cf4_product(*args)
+
+    monkeypatch.setattr(tr, "_stage_generators", stages)
+    monkeypatch.setattr(tr, "_cf4_product", product)
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({"transport": {"n_fixtures": 1}}))
+    assert main(["transport", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert counts == {"stages": 4, "products": 5}
+
+
 def test_broken_records_are_the_records_of_run_batch(tmp_path):
     # the one-pass S^A of the broken experiment is what run_batch makes of
     # the queries it wrote, with the experiment's own connection and step

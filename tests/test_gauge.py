@@ -77,10 +77,13 @@ def test_smooth_step_endpoints():
     assert s[3] == 1.0 and s[4] == 1.0
     assert 0.0 < s[2] < 1.0
     # derivative vanishes outside (0, 1) and matches FD inside
-    assert SmoothStep.value_and_derivative(np.array([-0.5, 1.5]))[1].tolist() == [0.0, 0.0]
+    def derivative(u):
+        return SmoothStep.derivative(u, *SmoothStep.terms(u))
+
+    assert derivative(np.array([-0.5, 1.5])).tolist() == [0.0, 0.0]
     h = 1e-7
     fd = (SmoothStep.value(np.array([0.3 + h])) - SmoothStep.value(np.array([0.3 - h]))) / (2 * h)
-    assert abs(SmoothStep.value_and_derivative(np.array([0.3]))[1][0] - fd[0]) < 1e-6
+    assert abs(derivative(np.array([0.3]))[0] - fd[0]) < 1e-6
 
 
 def test_radial_cutoff_vanishes_on_observation_set(rng):
@@ -94,6 +97,33 @@ def test_radial_cutoff_vanishes_on_observation_set(rng):
         assert np.all(cut.value_and_grad(x)[1] == 0.0)
     far = np.array([1.0, 3.0, 0.0])
     assert cut.value(far) == 1.0
+
+
+def test_cutoff_gradient_is_evaluated_only_at_live_points(monkeypatch):
+    # spatial radii: inside the cutoff, 1 + 1e-4 where exp(-1/u) underflows to chi = 0,
+    # the ramp, and chi = 1
+    cut = RadialCutoff(DIM, 1.0, width=1.0)
+    radii = np.array([0.0, 0.5, 2.5, 1.0 + 1e-4, 1.3, 0.99, 1.7, 3.0])
+    xs = np.column_stack([np.linspace(0.5, 4.0, len(radii)), radii, np.zeros(len(radii))])
+    seen = []
+    derivative = SmoothStep.derivative
+
+    def recording(u, a, b):
+        seen.append(u)
+        return derivative(u, a, b)
+
+    monkeypatch.setattr(SmoothStep, "derivative", staticmethod(recording))
+    chi, grad = cut.value_and_grad(xs)
+    live = chi != 0
+    assert live.tolist() == [False, False, True, False, True, False, True, True]
+    assert np.concatenate(seen).tolist() == (radii[live] - 1.0).tolist()
+    assert np.all(grad[~live] == 0.0)
+    # the live points' gradient is that of a stack of live points only
+    seen.clear()
+    live_chi, live_grad = cut.value_and_grad(xs[live])
+    assert len(seen) == 1 and len(seen[0]) == np.count_nonzero(live)
+    assert grad[live].tobytes() == live_grad.tobytes()
+    assert chi[live].tobytes() == live_chi.tobytes()
 
 
 def test_gauge_field_unitary_and_identity_inside(rng):

@@ -29,6 +29,7 @@ from lorentz_gauge.geometry import (
 )
 from lorentz_gauge.linalg import (
     expm_skew,
+    from_coords,
     polar_project,
     random_skew_hermitian,
     to_coords,
@@ -40,10 +41,8 @@ from lorentz_gauge.transport import (
     BrokenRayQuery,
     CutTimeCache,
     _cf4_product,
+    _stage_generators,
     broken_transform,
-    check_group_property,
-    check_reversal,
-    determinant_track_residual,
     inverse_transport,
     leg_segments,
     matrix_from_json,
@@ -52,6 +51,7 @@ from lorentz_gauge.transport import (
     parallel_transports,
     read_queries,
     run_batch,
+    transport_identities,
     validate_query,
     write_results,
 )
@@ -75,6 +75,18 @@ def abelian_dt(lam):
 
 def null_segment(s_max=2.0):
     return integrate_geodesic(M3, np.zeros(DIM), NULL_V, s_max, h=0.05)
+
+
+def null_legs(s_max=2.0, reach=None):
+    """gamma_{0,v} on [0, s_max] and gamma_{0,-v} on [-reach, 0] (reach s_max by default)."""
+    reach = s_max if reach is None else reach
+    return integrate_geodesics(M3, np.zeros((2, DIM)), np.stack([NULL_V, -NULL_V]),
+                               [s_max, 0.0], min(1e-2, s_max / 50), s_min=[0.0, -reach])
+
+
+def identities(a, b=0.7, **kwargs):
+    """transport_identities of a along null_legs(), split at b."""
+    return transport_identities(M3, a, *null_legs(), b, **kwargs)
 
 
 # -- parallel transport -------------------------------------------------------
@@ -166,37 +178,70 @@ def test_inverse_transport_abelian_conjugate():
 
 
 def test_group_property_zero_and_constant(rng):
-    seg = null_segment()
-    assert check_group_property(M3, ConnectionField.zero(DIM, 2), seg, 0.0, 1.0, 2.0) == 0.0
+    assert identities(ConnectionField.zero(DIM, 2), b=1.0)["group"] == 0.0
     mats = [random_skew_hermitian(2, rng) for _ in range(DIM)]
     a = constant_connection(2, mats)
-    assert check_group_property(M3, a, seg, 0.0, 0.7, 2.0) < 1e-12
+    assert identities(a)["group"] < 1e-12
 
 
 def test_group_property_random(rng):
     a = random_connection(DIM, 2, rng)
-    assert check_group_property(M3, a, null_segment(), 0.0, 0.7, 2.0, h=1e-3) < 1e-8
+    assert identities(a, h=1e-3)["group"] < 1e-8
 
 
 def test_group_property_ordering():
+    # the split point must lie strictly inside (0, s0), and the reverse leg must reach -s0
+    zero = ConnectionField.zero(DIM, 2)
+    for b in (-0.5, 0.0, 2.0, 2.5):
+        with pytest.raises(DomainError):
+            identities(zero, b=b)
     with pytest.raises(DomainError):
-        check_group_property(M3, ConnectionField.zero(DIM, 2), null_segment(), 1.0, 0.5, 2.0)
+        transport_identities(M3, zero, *null_legs(reach=1.0), 0.7)
 
 
 def test_reversal_identity(rng):
-    fwd, rev = integrate_geodesics(M3, np.zeros((2, DIM)), np.stack([NULL_V, -NULL_V]),
-                                   [2.0, 0.0], min(1e-2, 2.0 / 50), s_min=[0.0, -2.0])
-    assert check_reversal(M3, ConnectionField.zero(DIM, 2), fwd, rev) == 0.0
+    assert identities(ConnectionField.zero(DIM, 2))["reversal"] == 0.0
     a = random_connection(DIM, 2, rng)
-    assert check_reversal(M3, a, fwd, rev, h=1e-3) < 1e-8
+    assert identities(a, h=1e-3)["reversal"] < 1e-8
     # abelian closed form: both orientations must give e^{-i lam s0}
     lam = 0.6
-    assert check_reversal(M3, abelian_dt(lam), fwd, rev) < 1e-10
+    assert identities(abelian_dt(lam))["reversal"] < 1e-10
 
 
 def test_determinant_track(rng):
     a = random_connection(DIM, 3, rng)
-    assert determinant_track_residual(M3, a, null_segment(), 0.0, 2.0, h=1e-3) < 1e-8
+    assert identities(a, h=1e-3)["det"] < 1e-8
+
+
+@pytest.mark.parametrize("metric", ["minkowski", "time-only-warp"])
+def test_transport_identities_have_the_bits_of_separate_transports(metric):
+    scenario = copy.deepcopy(DEFAULT_SCENARIO)
+    if metric != "minkowski":
+        scenario["metric"] = {"kind": "warped", "dim": 3, "beta_time_only": True,
+                              "beta": {"dim": 3, "constant": 1.0, "waves": [
+                                  {"amp": 0.3, "freq": [0.5, 0, 0], "phase": 0}]}}
+    fx = Fixture(scenario, seed=5)
+    m, conn, x0 = fx.metric, fx.connection(), np.array([1.0, 0.2, -0.1])
+    v = null_vector(m, x0, np.array([0.6, 0.8]))
+    fwd, rev = integrate_geodesics(m, np.stack([x0, x0]), np.stack([v, -v]), [2.0, 0.0], 1e-2,
+                                   s_min=[0.0, -2.0])
+    got = transport_identities(m, conn, fwd, rev, 0.9)
+    p = parallel_transport(m, conn, fwd, 0.0, 2.0)
+    w = inverse_transport(m, conn, fwd, 0.0, 2.0)
+    [(k1, k2)], hs = _stage_generators([conn], fwd, 0.0, 2.0, 1e-3)
+    trace = np.trace(from_coords(k1 + k2), axis1=-2, axis2=-1)
+    expected = {
+        "unitarity": float(unitarity_residual(p)),
+        "group": float(np.linalg.norm(parallel_transport(m, conn, fwd, 0.9, 2.0)
+                                      @ parallel_transport(m, conn, fwd, 0.0, 0.9) - p)),
+        "reversal": float(np.linalg.norm(parallel_transport(m, conn, rev, 0.0, -2.0) - p)),
+        "inverse": float(np.linalg.norm(w @ p - np.eye(fx.n))),
+        "det": float(abs(np.linalg.det(p) - np.exp(0.5 * hs * np.sum(trace)))),
+    }
+    assert got.keys() == expected.keys()
+    for name in expected:
+        assert np.float64(got[name]).tobytes() == np.float64(expected[name]).tobytes(), name
+    assert 0.0 < max(got.values()) < 1e-8
 
 
 def test_gauge_equivariance_pointwise(rng):
@@ -284,6 +329,20 @@ def test_cut_time_admissibility_on_cylinder():
     with pytest.raises(AdmissibilityError) as err:
         broken_transform(c, a, past_cut, observation=obs)
     assert "cut time" in str(err.value)
+
+
+def test_lightness_of_huge_legs_is_decided_without_overflow():
+    # g is homogeneous of degree 2, so lightness is decided on v scaled to entries
+    # below 1; the suite turns an overflow's RuntimeWarning into an error
+    huge = BrokenRayQuery(Y0, [-1e200, 1e200, 0.0], W_OUT, 1.0, 1.0)
+    with pytest.raises(AdmissibilityError, match="incoming endpoint outside the observation set"):
+        validate_query(M3, huge, OBS)
+    not_null = BrokenRayQuery(Y0, [-1e200, 0.5e200, 0.0], W_OUT, 1.0, 1.0)
+    with pytest.raises(AdmissibilityError, match="v is not lightlike"):
+        validate_query(M3, not_null, OBS)
+    assert null_cut_time(M3, Y0, np.array([1e200, 0.6e200, 0.8e200])) == math.inf
+    with pytest.raises(DomainError, match="not null"):
+        null_cut_time(M3, Y0, np.array([1e200, 1e200, 1e200]))
 
 
 def test_cut_time_cache_reuse():
