@@ -232,8 +232,9 @@ def run_reconstruct(fx, params, out_dir, strict):
         _check(checks, "reconstruct_unresolved", float(rec.n_unresolved), 0.5)
     samples = grid[:: max(1, len(grid) // 12)]
     if not negative:
-        err = max((float(np.linalg.norm(rec.values[i] - phi.value(rec.points[i])))
-                   for i in np.flatnonzero(~rec.unresolved)), default=0.0)
+        ok = ~rec.unresolved
+        err = float(np.max(np.linalg.norm(rec.values[ok] - phi.value(rec.points[ok]),
+                                          axis=(-2, -1)), initial=0.0))
         _check(checks, "reconstruct_recover_gauge", err, float(params["tol_recover"]))
     ode, _ = verify_gauge_ode(fx.metric, conn, conn_b, phi, samples)
     thm, _ = verify_theorem(fx.metric, conn, conn_b, phi, samples)

@@ -259,7 +259,7 @@ class GaugedConnection:
         step and its derivative vanish together, also where exp(-1/u)
         underflows), so there it keeps a (a itself where chi is 0 at every
         point) and evaluates the gauge, with chi and its gradient from one
-        value_and_grad, at the other points only.
+        value_and_grad, at the other points only, gathered and scattered by index.
         """
         if self.n != 2:
             u, dphi_v = self.phi.value_and_derivative(x, v)
@@ -271,10 +271,13 @@ class GaugedConnection:
             return self._gauged_u2(x, v, a, (chi, grad))
         if not live.any():
             return a
-        live = np.broadcast_to(live, a.shape[:-1])
-        x, v, grad = (np.broadcast_to(y, live.shape + y.shape[-1:])[live] for y in (x, v, grad))
+        shape = a.shape[:-1]
+        live = np.flatnonzero(np.broadcast_to(live, shape))
+        x, v, grad, a_live, chi = (
+            np.take(np.broadcast_to(y, shape + y.shape[-1:]).reshape(-1, y.shape[-1]), live, 0)
+            for y in (x, v, grad, a, chi[..., None]))
         out = a.copy()
-        out[live] = self._gauged_u2(x, v, a[live], (np.broadcast_to(chi, live.shape)[live], grad))
+        out.reshape(-1, a.shape[-1])[live] = self._gauged_u2(x, v, a_live, (chi[:, 0], grad))
         return out
 
     def _gauged_u2(self, x, v, a, cutoff):

@@ -44,7 +44,7 @@ class Metric:
 
     Every method takes points (and vectors) over leading axes: a point
     array of shape (..., dim) gives results of shape (...) + the shape
-    for one point.  Causal queries (``time_separation``,
+    for one point.  Causal queries (``minkowski_delta``, ``time_separation``,
     ``null_cut_time``) are available only where the metric knows its
     causal structure in closed form; elsewhere they raise CapabilityError.
     """
@@ -73,9 +73,13 @@ class Metric:
 
     # -- causal structure ----------------------------------------------------
 
+    def minkowski_delta(self, x, y):
+        """y - x in coordinates in which the metric is Minkowski, over leading axes."""
+        raise CapabilityError(f"time separation not implemented for {self.name}")
+
     def time_separation(self, x, y):
         """tau(x, y) over the leading axes of the point arrays x and y."""
-        raise CapabilityError(f"time separation not implemented for {self.name}")
+        return _tau(self.minkowski_delta(x, y))
 
     def null_cut_time(self, x, v):
         """Null cut time of gamma_{x,v} (inf if it has no cut point)."""
@@ -161,8 +165,8 @@ class _FlatMetric(Metric):
     def geodesic_acceleration(self, x, v):
         return np.zeros(np.shape(v))
 
-    def time_separation(self, x, y):
-        return _tau(self.coord_delta(y, x))
+    def minkowski_delta(self, x, y):
+        return self.coord_delta(y, x)
 
 
 class Minkowski(_FlatMetric):
@@ -303,12 +307,13 @@ class WarpedProduct(Metric):
         at_edge = np.where(k >= 0, up[np.maximum(k, 0)], down[np.maximum(-k, 0)])
         return at_edge + self._sqrt_beta_rule(k * CONFORMAL_CELL, t)
 
-    def time_separation(self, x, y):
+    def minkowski_delta(self, x, y):
+        """y - x with conformal time in place of t."""
         self._require_conformally_flat("time separation")
         conformal = self.conformal_time
         d = self.coord_delta(y, x)
         d[..., 0] = conformal(np.asarray(y)[..., 0]) - conformal(np.asarray(x)[..., 0])
-        return _tau(d)
+        return d
 
     def null_cut_time(self, x, v):
         self._require_conformally_flat("null cut time")

@@ -1,10 +1,12 @@
-"""The names the benchmark binds exist in the program.
+"""The names the benchmark binds exist in the program, and its workloads run.
 
 Each workload's set-up is built through bench/fixture.py with
 bench/tracing.py's spans installed, as ``bench/run.py --trace 1`` does, so
 renaming or deleting a traced name (``earliest_obs_time``,
-``Metric.christoffel``, ...) fails here.  bench/ is only read: its modules
-are loaded from their files without writing bytecode beside them.
+``Metric.christoffel``, ...) fails here.  One round of each workload then
+runs through bench/workloads.py with seed 1, so a changed signature or
+return of a function it calls fails here too.  bench/ is only read: its
+modules are loaded from their files without writing bytecode beside them.
 """
 
 import importlib.util
@@ -71,3 +73,21 @@ def test_tracing_installs_on_every_workload(name):
     assert objs["metric"].dim == 3
     after = bindings()
     assert all(after[key] is value for key, value in before.items())
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_one_round_of_every_workload_runs_and_passes_its_checks(name, monkeypatch):
+    # what bench/run.py runs, once: an operation that raises a program error or
+    # reports a failed item fails here, as does any failing check of the round
+    for dep in ("fixture", "reference"):  # workloads.py imports them by these names
+        monkeypatch.setitem(sys.modules, dep, load_bench(dep))
+    workloads = load_bench("workloads")
+    objs = sys.modules["fixture"].build(lorentz_gauge, name, seed=1)
+    workload = workloads.WORKLOADS[name](lorentz_gauge, objs, 1)
+    outputs = []
+    for _, op in workload.round():
+        output, failed = op()
+        assert failed == 0
+        outputs.append(output)
+    checks = workload.check(outputs)
+    assert checks and [c["name"] for c in checks if not c["pass"]] == []

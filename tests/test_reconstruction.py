@@ -28,6 +28,7 @@ from lorentz_gauge.linalg import unitarity_residual
 from lorentz_gauge.transport import CutTimeCache, validate_query
 from lorentz_gauge.reconstruction import (
     DIAMOND_MARGIN,
+    FD_STEP,
     GaugeReconstruction,
     TransformOracle,
     diamond_grid,
@@ -445,14 +446,6 @@ def test_verify_ode_detects_wrong_gauge(planted):
     assert res > 1e-2
 
 
-def test_verify_ode_boundary_skip(planted):
-    a, phi, b = planted
-    bounds = (np.array([0.0, -3.0, -3.0]), np.array([1.0, 3.0, 3.0]))
-    pts = np.array([[0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    res, skipped = verify_gauge_ode(M3, a, b, phi, pts, bounds=bounds)
-    assert skipped == 1
-
-
 def test_verify_theorem_planted(planted):
     a, phi, b = planted
     res, _ = verify_theorem(M3, a, b, phi, sample_points())
@@ -470,3 +463,49 @@ def test_verify_theorem_identity_gauge_measures_difference(planted):
     assert res == pytest.approx(direct, rel=1e-10)
     assert res > 0.0
 
+
+def reference_residuals(conn_a, conn_b, phi, samples):
+    """The residuals of verify_gauge_ode and verify_theorem, one sample (and axis) at a time."""
+    ode = thm = 0.0
+    for x in samples:
+        u = phi.value(x)
+        for w in np.eye(len(x)):
+            dphi = (phi.value(x + FD_STEP * w) - phi.value(x - FD_STEP * w)) / (2.0 * FD_STEP)
+            rhs = u @ conn_a.pairing(x, w) - conn_b.pairing(x, w) @ u
+            ode = max(ode, float(np.linalg.norm(dphi - rhs)))
+        uinv = np.conj(u.T)
+        gauged = uinv @ phi.differential(x) + uinv @ conn_b.components(x) @ u
+        thm = max(thm, float(np.max(np.linalg.norm(conn_a.components(x) - gauged,
+                                                   axis=(-2, -1)))))
+    return ode, thm
+
+
+EPS = np.finfo(float).eps
+WARP3 = WarpedProduct(3, ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)]),
+                      beta_time_only=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("metric", [M3, WARP3], ids=["minkowski", "time-only-warp"])
+def test_batched_verification_matches_reference_loop(metric, n):
+    # B = A <| phi^-1 is a gauged connection whose cutoff is live at some samples
+    # and dead at others; a wrong gauge gives residuals of order 1.  phi.value in a
+    # batch and at one point may differ in its last bit (the generator's table
+    # product), which the central difference divides by 2 FD_STEP: the ODE
+    # residuals of batch and loop differed by up to 2.0 eps / FD_STEP (n = 3) over
+    # seeds 0-19, hence the ODE's second term of 4 n eps / FD_STEP
+    rng = np.random.default_rng(40 + n)
+    obs = ObservationSet(metric, T=6.0, radius=1.0)
+    a = random_connection(DIM, n, rng, amplitude=0.6)
+    phi = random_gauge(DIM, n, rng, observation=obs, amplitude=0.8)
+    wrong = random_gauge(DIM, n, rng, observation=obs, amplitude=0.5)
+    b = gauge_act(a, phi.inverse())
+    pts = diamond_grid(metric, obs, per_axis=3)
+    assert 0 < np.count_nonzero(phi.cutoff.value(pts)) < len(pts)
+    for gauge in (phi, wrong):
+        ref_ode, ref_thm = reference_residuals(a, b, gauge, pts)
+        ode, skipped_ode = verify_gauge_ode(metric, a, b, gauge, pts)
+        thm, skipped_thm = verify_theorem(metric, a, b, gauge, pts)
+        assert skipped_ode == skipped_thm == 0
+        assert abs(ode - ref_ode) <= 1e-12 * max(1.0, ref_ode) + 4 * n * EPS / FD_STEP
+        assert abs(thm - ref_thm) <= 1e-12 * max(1.0, ref_thm)

@@ -146,6 +146,24 @@ def test_interaction_vectors_lightlike_and_sources_observed():
             assert causally_independent(M3, geom.x_legs[j], geom.x_legs[k])
 
 
+WARP = WarpedProduct(3, ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)]),
+                     beta_time_only=True)
+
+
+@pytest.mark.parametrize("stretch", [1.0, 1.0 + 1e-14])
+def test_null_separated_sources_are_not_independent_on_the_warp(stretch):
+    # b lies on (or, stretched, a hair outside) the light cone of a in conformal
+    # time, where tau reads 0 both ways: null separation is dependence, as on Minkowski
+    a = np.array([1.0, 0.2, -0.1])
+    lapse = float(WARP.conformal_time(2.5) - WARP.conformal_time(a[0]))
+    b = a + [2.5 - a[0], stretch * lapse * 0.6, stretch * lapse * 0.8]
+    assert not causally_independent(WARP, a, b)
+    assert not causally_independent(WARP, b, a)
+    assert not causally_independent(M3, np.zeros(3), [1.0, 0.6, 0.8])
+    far = b + [0.0, 0.1, 0.0]
+    assert causally_independent(WARP, a, far) and causally_independent(WARP, far, a)
+
+
 def test_sources_converge_as_r_shrinks():
     gaps = []
     for r in (0.1, 0.05, 0.025):
