@@ -109,7 +109,7 @@ def run_geodesic(fx, params, out_dir, strict):
     extra = {}
     if isinstance(fx.metric, Cylinder):
         v = null_vector(fx.metric, np.zeros(2), np.array([1.0]))
-        cut = null_cut_time(fx.metric, np.zeros(2), v, s_max=10.0)
+        cut = null_cut_time(fx.metric, np.zeros(2), v)
         _check(checks, "cylinder_cut_time", abs(cut - math.pi), 1e-3)
         sols, _ = connect_null(fx.metric, np.zeros(2), np.array([math.pi, math.pi]))
         _check(checks, "cylinder_cut_multiplicity", 0.0 if len(sols) >= 2 else 1.0, 0.5)
@@ -128,7 +128,7 @@ def run_transport(fx, params, out_dir, strict):
     segs = integrate_geodesics(fx.metric, x0s + x0s, vs + tuple(-v for v in vs),
                                np.repeat([s_max, 0.0], n_fix), min(1e-2, s_max / 50),
                                s_min=np.repeat([0.0, -s_max], n_fix))
-    residuals = [transport_identities(fx.metric, conn, seg, rev, b, h=h)
+    residuals = [transport_identities(conn, seg, rev, b, h=h)
                  for conn, b, seg, rev in zip(conns, bs, segs[:n_fix], segs[n_fix:])]
     worst = {name: max(r[name] for r in residuals) for name in residuals[0]}
     _check(checks, "transport_unitarity", worst["unitarity"], 1e-10)
@@ -193,8 +193,8 @@ def run_broken(fx, params, out_dir, strict):
     worst_inv = 0.0
     for q, (seg_in, seg_out) in admitted:
         # S = P_out P_in of A and A <| phi^-1, as broken_transform, in one pass per leg
-        p_in = parallel_transports(fx.metric, [conn, conn_b], seg_in, q.s_in, 0.0, h=h)
-        p_out = parallel_transports(fx.metric, [conn, conn_b], seg_out, 0.0, q.s_out, h=h)
+        p_in = parallel_transports([conn, conn_b], seg_in, q.s_in, 0.0, h=h)
+        p_out = parallel_transports([conn, conn_b], seg_out, 0.0, q.s_out, h=h)
         sa, sb = (o @ i for o, i in zip(p_out, p_in))
         records.append(batch_record(q, sa))
         worst_inv = max(worst_inv, float(np.linalg.norm(sa - sb)))

@@ -610,14 +610,13 @@ def _tau(d):
     return np.where((dt > 0) & (q > 0), np.sqrt(np.maximum(q, 0.0)), 0.0)
 
 
-def null_cut_time(metric, x, v, s_max=None):
+def null_cut_time(metric, x, v):
     """First parameter s > 0 at which gamma_{x,v}(s) and x become
     chronologically related, or inf.
 
     For future-pointing v this is the first s with tau(x, gamma(s)) > 0;
     for past-pointing v, the first s with tau(gamma(s), x) > 0. The value
-    is the metric's closed form; a cut time beyond the horizon s_max is
-    reported as inf.
+    is the metric's closed form.
     """
     x = metric.validate_point(x)
     v = np.asarray(v, dtype=float)
@@ -625,8 +624,7 @@ def null_cut_time(metric, x, v, s_max=None):
         raise DomainError("initial vector is not null")
     if v[0] == 0:
         raise DomainError("initial vector must be time-oriented")
-    cut = metric.null_cut_time(x, v)
-    return cut if s_max is None or cut <= s_max else math.inf
+    return metric.null_cut_time(x, v)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +750,6 @@ class NullConnection:
 
     v: np.ndarray
     s_arr: float
-    residual: float
 
 
 # shooting: residual accepted as converged, distance below which two
@@ -763,8 +760,6 @@ SHOOT_STEP = 1e-2
 
 
 def _endpoint(metric, x, v, s):
-    if metric.is_flat:  # in closed form: a trial point allocates no samples
-        return x + s * v
     seg = integrate_geodesic(metric, x, v, s, h=SHOOT_STEP)
     return np.full(metric.dim, 1e6) if seg.truncated else seg.endpoint
 
@@ -828,7 +823,7 @@ def connect_null(metric, x, y, n_starts=None):
                 new = False
                 break
         if new:
-            solutions.append(NullConnection(v=v, s_arr=s, residual=r))
+            solutions.append(NullConnection(v=v, s_arr=s))
     solutions.sort(key=lambda c: c.s_arr)
     diag = {"n_starts": int(n_starts), "n_converged": n_conv, "n_solutions": len(solutions)}
     return solutions, diag

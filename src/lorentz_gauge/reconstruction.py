@@ -53,11 +53,12 @@ HONEST_MARGIN = 1e-3
 class TransformOracle:
     """Deterministic transport data source for one connection.
 
-    The metric, connection and CF4 step h of a gauge candidate's transports,
-    which take both oracles' connections along each leg in one pass, so two
-    oracles of a candidate share metric and h. ``observation`` is kept only
-    for the positional constructor call ``(metric, connection, observation,
-    h)``; the caller validates every leg.
+    The connection and CF4 step h of a gauge candidate's transports, which
+    take both oracles' connections along each leg in one pass, so two
+    oracles of a candidate share h, and a metric that is only checked: a
+    transport reads its segment's. ``observation`` is kept only for the
+    positional constructor call ``(metric, connection, observation, h)``;
+    the caller validates every leg.
     """
 
     def __init__(self, metric, connection, observation=None, h=1e-3):
@@ -102,7 +103,8 @@ def gauge_candidate(metric, oracle_a, oracle_b, y, w, s_out, observation=None,
     y in the observation set; the incoming transport is computed from
     the a-priori-known connection there).
     Both connections are transported along each leg in one
-    parallel_transports pass, so the oracles must share metric and h.
+    parallel_transports pass, so the oracles must share h; their metric is
+    only checked to be one, as a transport reads its segment's.
     """
     if oracle_a.metric is not oracle_b.metric or oracle_a.h != oracle_b.h:
         raise DomainError("the two oracles of a gauge candidate need one metric and one h")
@@ -116,7 +118,7 @@ def gauge_candidate(metric, oracle_a, oracle_b, y, w, s_out, observation=None,
         seg = integrate_geodesic(metric, y, w, s_out, h=min(1e-2, s_out / 50))
         if observation is not None and not observation.contains(seg.endpoint):
             raise AdmissibilityError("outgoing endpoint outside the observation set")
-        pa, pb = parallel_transports(oracle_a.metric, conns, seg, 0.0, s_out, h=oracle_a.h)
+        pa, pb = parallel_transports(conns, seg, 0.0, s_out, h=oracle_a.h)
         return polar_project(np.conj(pb.T) @ pa)
     if mode != "honest":
         raise DomainError("mode must be 'synthetic' or 'honest'")
@@ -127,9 +129,8 @@ def gauge_candidate(metric, oracle_a, oracle_b, y, w, s_out, observation=None,
         )
     seg_in, seg_out = validate_query(metric, q, observation, cache=cache)
     # the broken transforms S = P_out P_in of both connections on the validated legs
-    p_in, pb_in = parallel_transports(oracle_a.metric, conns, seg_in, q.s_in, 0.0, h=oracle_a.h)
-    pa_out, pb_out = parallel_transports(oracle_a.metric, conns, seg_out, 0.0, q.s_out,
-                                         h=oracle_a.h)
+    p_in, pb_in = parallel_transports(conns, seg_in, q.s_in, 0.0, h=oracle_a.h)
+    pa_out, pb_out = parallel_transports(conns, seg_out, 0.0, q.s_out, h=oracle_a.h)
     s_a = pa_out @ p_in
     s_b = pb_out @ pb_in
     # S_B^{-1} S_A = P_in^{-1} (P^B_out)^{-1} P^A_out P_in with P_in the
@@ -269,10 +270,6 @@ def reconstruct_gauge(metric, oracle_a, oracle_b, grid, observation, k_direction
     modes = []
     for i, y in enumerate(grid):
         legs = _admissible_out_legs(metric, observation, y, k_directions, cache)
-        if not legs:
-            unresolved[i] = True
-            modes.append("none")
-            continue
         point_mode = "honest" if observation.contains(y) else "synthetic"
         cands = []
         for w, s_out in legs:

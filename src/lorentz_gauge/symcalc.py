@@ -43,17 +43,13 @@ def causally_independent(metric, a, b):
 class InteractionGeometry:
     """The three-source configuration of the interaction construction."""
 
-    metric: object
     y: np.ndarray
-    theta: float
     r: float
     s_in: float
     w: np.ndarray                      # outgoing future-pointing lightlike vector
     w_legs: list                       # [w_(1), w_(2), w_(3)], past-pointing
     x_legs: list                       # source points x_(j) = gamma_{y, w_j}(s_in)
     xi_legs: list                      # future-pointing vectors -gamma'_{y,w_j}(s_in)
-    eta: np.ndarray                    # covector w^flat at y
-    eta_legs: list                     # signed leg covectors at y
     kappa: np.ndarray
     kappa_residual: float
     segments: list = field(default_factory=list, repr=False)
@@ -85,9 +81,10 @@ def build_interaction_geometry(metric, y, theta, r, observation, s_range=None):
 def build_interaction_sweep(metric, y, theta, r_sweep, observation, s_range=None):
     """build_interaction_geometry for every r of a sweep, at one common s'.
 
-    s' is the middle of the scanned values at which all 3 len(r_sweep)
+    s' is the middle of the scanned values at which all 2 len(r_sweep) + 1
     sources lie inside the observation set, so every r of the sweep
-    measures along legs of the same length.
+    measures along legs of the same length. w_1 does not depend on r, so
+    its leg is marched once and every geometry shares its segment.
     """
     y = metric.validate_point(y)
     dim = metric.dim
@@ -108,10 +105,11 @@ def build_interaction_sweep(metric, y, theta, r_sweep, observation, s_range=None
     w = vec([1.0, math.cos(theta), math.sin(theta)])
     eta = g @ w
     signs = (1.0, -1.0, -1.0)
+    w_1 = vec([-1.0, 1.0, 0.0])
     parts = []
     for r in r_sweep:
         root = math.sqrt(1.0 - r * r)
-        w_legs = [vec([-1.0, 1.0, 0.0]), vec([-1.0, root, r]), vec([-1.0, root, -r])]
+        w_legs = [w_1, vec([-1.0, root, r]), vec([-1.0, root, -r])]
         for u in [w] + w_legs:
             if abs(float(u @ g @ u)) > 1e-10:
                 raise GeometryError("constructed direction is not lightlike")
@@ -125,7 +123,7 @@ def build_interaction_sweep(metric, y, theta, r_sweep, observation, s_range=None
             raise GeometryError("kappa linear relation residual too large")
         if np.any(kappa <= 0):
             raise GeometryError("kappa coefficients are not all positive")
-        parts.append((r, w_legs, eta_legs, kappa, kappa_residual))
+        parts.append((r, w_legs, kappa, kappa_residual))
 
     # search a common source parameter s' putting all sources in the
     # observation set
@@ -135,7 +133,8 @@ def build_interaction_sweep(metric, y, theta, r_sweep, observation, s_range=None
     lo, hi = s_range
     if not lo < hi:
         raise GeometryError("empty s' search range")
-    all_legs = np.array([u for part in parts for u in part[1]])
+    # w_1, then w_2 and w_3 of each r
+    all_legs = np.array([w_1] + [u for part in parts for u in part[1][1:]])
     segments = integrate_geodesics(metric, np.tile(y, (len(all_legs), 1)), all_legs, hi * 1.01,
                                    SOURCE_LEG_STEP)
     s_in = observation.middle_inside(segments, np.linspace(lo, hi, S_SCAN_POINTS),
@@ -144,17 +143,15 @@ def build_interaction_sweep(metric, y, theta, r_sweep, observation, s_range=None
         raise GeometryError("no common s' places all three sources in the observation set")
 
     geoms = []
-    for i, (r, w_legs, eta_legs, kappa, kappa_residual) in enumerate(parts):
-        legs = segments[3 * i:3 * i + 3]
+    for i, (r, w_legs, kappa, kappa_residual) in enumerate(parts):
+        legs = [segments[0], *segments[2 * i + 1:2 * i + 3]]
         x_legs = [seg.position(s_in) for seg in legs]
         xi_legs = [-seg.velocity(s_in) for seg in legs]
         if not all(causally_independent(metric, a, b) for a, b in combinations(x_legs, 2)):
             raise GeometryError("source points are not causally independent")
         geoms.append(InteractionGeometry(
-            metric=metric, y=y, theta=float(theta), r=float(r), s_in=s_in,
-            w=w, w_legs=w_legs, x_legs=x_legs, xi_legs=xi_legs,
-            eta=eta, eta_legs=eta_legs, kappa=kappa, kappa_residual=kappa_residual,
-            segments=legs,
+            y=y, r=float(r), s_in=s_in, w=w, w_legs=w_legs, x_legs=x_legs, xi_legs=xi_legs,
+            kappa=kappa, kappa_residual=kappa_residual, segments=legs,
         ))
     return geoms
 

@@ -134,10 +134,11 @@ def _check_range(segment, *params):
             raise DomainError("transport parameter outside the segment range")
 
 
-def parallel_transports(metric, connections, segment, a, b, h=1e-3):
+def parallel_transports(connections, segment, a, b, h=1e-3):
     """parallel_transport of each connection along one segment, in one pass, with its bits.
 
-    Connections with the same stage generators share one CF4 product.
+    A transport reads no metric but the one its segment carries. Connections
+    with the same stage generators share one CF4 product.
     """
     _check_range(segment, a, b)
     if a == b:
@@ -157,9 +158,11 @@ def parallel_transport(metric, connection, segment, a, b, h=1e-3):
 
     a > b integrates the same equation with decreasing parameter, which
     equals the transport along the reversed parameterization of the
-    curve. The one-connection call of parallel_transports.
+    curve. The one-connection call of parallel_transports. metric is not
+    read, as the segment carries its own; it stays because callers pass it
+    positionally.
     """
-    return parallel_transports(metric, [connection], segment, a, b, h=h)[0]
+    return parallel_transports([connection], segment, a, b, h=h)[0]
 
 
 def _inverse_product(k1, k2, hs):
@@ -168,7 +171,7 @@ def _inverse_product(k1, k2, hs):
     return np.swapaxes(w_t, -1, -2).copy()
 
 
-def inverse_transport(metric, connection, segment, a, b, h=1e-3):
+def inverse_transport(connection, segment, a, b, h=1e-3):
     """Solve dW/ds - W <A, gamma'> = 0, W(a) = I, independently of parallel_transport.
 
     Transposing turns the left-multiplication ODE into a standard one,
@@ -182,7 +185,7 @@ def inverse_transport(metric, connection, segment, a, b, h=1e-3):
     return _inverse_product(*k, hs)
 
 
-def transport_identities(metric, connection, forward, reverse, b, h=1e-3):
+def transport_identities(connection, forward, reverse, b, h=1e-3):
     """Residuals of the transport identities of P, the transport along forward over [0, s0].
 
     forward is gamma_{y,v} on [0, s0], reverse gamma_{y,-v} reaching -s0, and 0 < b < s0:

@@ -64,7 +64,7 @@ def transport_sweep():
         v = null_vector(fx.metric, x0, fx.rng.standard_normal(2))
         fwd, rev = integrate_geodesics(M3, np.stack([x0, x0]), np.stack([v, -v]), [2.0, 0.0],
                                        min(1e-2, 2.0 / 50), s_min=[0.0, -2.0])
-        residuals = transport_identities(M3, conn, fwd, rev, 0.9, h=1e-3)
+        residuals = transport_identities(conn, fwd, rev, 0.9, h=1e-3)
         for name in worst:
             worst[name] = max(worst[name], residuals[name])
     return worst
@@ -132,7 +132,7 @@ def test_criterion_06_cylinder_cut():
     t0 = time.perf_counter()
     cyl = Cylinder()
     v = null_vector(cyl, np.zeros(2), np.array([1.0]))
-    cut = null_cut_time(cyl, np.zeros(2), v, s_max=8.0)
+    cut = null_cut_time(cyl, np.zeros(2), v)
     before, _ = connect_null(cyl, np.zeros(2), np.array([2.0, 2.0]))
     at_cut, _ = connect_null(cyl, np.zeros(2), np.array([math.pi, math.pi]))
     elapsed = time.perf_counter() - t0

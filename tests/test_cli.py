@@ -460,15 +460,28 @@ def test_cauchy_row_needs_two_differences_to_compare(tmp_path, r_sweep):
 GOLDEN = json.loads((Path(__file__).parent / "golden_checks.json").read_text())["checks"]
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
+def _assert_recorded_check_values(out, command, recorded_checks):
+    report = json.loads((out / "report.json").read_text())
+    values = {c["name"]: c["value"] for c in report["results"][command]["checks"]}
+    assert values.keys() == recorded_checks.keys()
+    for name, recorded in recorded_checks.items():
+        assert abs(values[name] - recorded) <= 1e-12 * max(1.0, abs(recorded)), name
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN["default"]))
 def test_default_check_values_match_the_recorded_ones(tmp_path, command):
     out = tmp_path / "out"
     assert main([command, "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    values = {c["name"]: c["value"] for c in report["results"][command]["checks"]}
-    assert values.keys() == GOLDEN[command].keys()
-    for name, recorded in GOLDEN[command].items():
-        assert abs(values[name] - recorded) <= 1e-12 * max(1.0, abs(recorded)), name
+    _assert_recorded_check_values(out, command, GOLDEN["default"][command])
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN["time-only-warp"]))
+def test_warp_check_values_match_the_recorded_ones(tmp_path, command):
+    cfg = tmp_path / "warp.json"
+    cfg.write_text(json.dumps({"metric": SWEEP_METRICS["time-only-warp"]}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    _assert_recorded_check_values(out, command, GOLDEN["time-only-warp"][command])
 
 
 FAILING = {

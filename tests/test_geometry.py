@@ -453,16 +453,14 @@ def test_lower_semicontinuity_spot_check():
 def test_null_cut_time_minkowski_infinite():
     m = Minkowski(4)
     v = null_vector(m, np.zeros(4), np.array([1.0, 0.0, 0.0]))
-    assert null_cut_time(m, np.zeros(4), v, s_max=50.0) == math.inf
+    assert null_cut_time(m, np.zeros(4), v) == math.inf
 
 
 def test_null_cut_time_cylinder_pi():
     c = Cylinder()
     v = null_vector(c, np.zeros(2), np.array([1.0]))
-    ct = null_cut_time(c, np.zeros(2), v, s_max=10.0)
+    ct = null_cut_time(c, np.zeros(2), v)
     assert ct == pytest.approx(math.pi, abs=1e-12)
-    # the cut lies beyond a shorter horizon
-    assert null_cut_time(c, np.zeros(2), v, s_max=3.0) == math.inf
 
 
 def test_null_cut_time_warped_time_only_infinite():

@@ -1,6 +1,7 @@
 """Every name a module under src/ imports is used by that module,
 importing the CLI loads no scipy, and the core layers import nothing
-from the three-wave layer or the CLI.
+from the three-wave layer or the CLI, and every parameter of a function
+outside a class is read, but for a listed few.
 
 No linter is installed, so this parses each module with ast. A name
 counts as used when it is read anywhere in the module, including as the
@@ -55,6 +56,51 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_parameters(source):
+    """(function, parameter) for each parameter of a function outside a class
+    that its body never reads, a nested function's body included."""
+    tree = ast.parse(source)
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in ast.walk(cls)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or id(fn) in methods:
+            continue
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        args = fn.args
+        for arg in [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]:
+            if arg is not None and arg.arg not in read:
+                yield fn.name, arg.arg
+
+
+# parameters nothing reads, each kept for its callers: (module, function, parameter) -> why
+UNREAD_ALLOWED = {
+    **{("cli.py", runner, param): "RUNNERS calls every runner with one signature"
+       for runner, params in (("run_geodesic", ("out_dir", "strict")),
+                              ("run_transport", ("out_dir", "strict")),
+                              ("run_broken", ("strict",)),
+                              ("run_interaction", ("out_dir", "strict")))
+       for param in params},
+    ("transport.py", "parallel_transport", "metric"):
+        "bench/ calls it positionally and binds its parameters by name",
+    ("reconstruction.py", "verify_theorem", "metric"): "bench/ calls it positionally",
+}
+
+
+def test_finds_an_unread_parameter():
+    src = ("def f(a, b, *args, c=1, **kw):\n    return a + kw['x']\n"
+           "def g(x):\n    def h(y):\n        return x\n    return h\n"
+           "class C:\n    def m(self, z):\n        return 0\n")
+    assert list(unread_parameters(src)) == [("f", "b"), ("f", "args"), ("f", "c"), ("h", "y")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_unread_parameters(path):
+    # an allowed entry that is read again must leave the list
+    allowed = {(fn, param) for module, fn, param in UNREAD_ALLOWED if module == path.name}
+    assert set(unread_parameters(path.read_text())) == allowed
 
 
 def test_cli_import_loads_no_scipy():

@@ -113,7 +113,7 @@ def test_transport_unitary_group_law_and_reversal(metric, n, seed):
     v = null_vector(fx.metric, x0, fx.rng.standard_normal(2))
     fwd, rev = integrate_geodesics(fx.metric, np.stack([x0, x0]), np.stack([v, -v]), [2.0, 0.0],
                                    min(1e-2, 2.0 / 50), s_min=[0.0, -2.0])
-    residuals = transport_identities(fx.metric, conn, fwd, rev, 0.9, h=1e-3)
+    residuals = transport_identities(conn, fwd, rev, 0.9, h=1e-3)
     assert residuals["unitarity"] <= 1e-10
     assert residuals["group"] <= 1e-8
     assert residuals["reversal"] <= 1e-8

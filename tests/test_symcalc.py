@@ -212,6 +212,22 @@ def test_sweep_at_the_default_vertex_matches_each_r(theta):
         assert np.array_equal(g.x_legs, alone.x_legs)
 
 
+def test_sweep_marches_each_distinct_source_ray_once(monkeypatch):
+    # w_1 = (-1, 1, 0) is the same for every r: 2R + 1 rays, not 3R, and
+    # every geometry of the sweep shares its segment
+    integrate_geodesics = symcalc.integrate_geodesics
+    rays = []
+
+    def count(metric, x0s, *args, **kwargs):
+        rays.append(len(x0s))
+        return integrate_geodesics(metric, x0s, *args, **kwargs)
+
+    monkeypatch.setattr(symcalc, "integrate_geodesics", count)
+    sweep = build_interaction_sweep(M3, Y0, math.pi / 2, R_SWEEP, OBS)
+    assert sum(rays) == 7
+    assert all(g.segments[0] is sweep[0].segments[0] for g in sweep)
+
+
 def test_sweep_without_common_source_parameter():
     tiny = ObservationSet(M3, T=6.0, radius=1e-4)
     with pytest.raises(GeometryError):

@@ -86,7 +86,7 @@ def null_legs(s_max=2.0, reach=None):
 
 def identities(a, b=0.7, **kwargs):
     """transport_identities of a along null_legs(), split at b."""
-    return transport_identities(M3, a, *null_legs(), b, **kwargs)
+    return transport_identities(a, *null_legs(), b, **kwargs)
 
 
 # -- parallel transport -------------------------------------------------------
@@ -155,14 +155,14 @@ def test_reversed_parameters_give_inverse(rng):
 
 def test_inverse_transport_zero_connection():
     a = ConnectionField.zero(DIM, 2)
-    assert np.array_equal(inverse_transport(M3, a, null_segment(), 0.0, 2.0), np.eye(2))
+    assert np.array_equal(inverse_transport(a, null_segment(), 0.0, 2.0), np.eye(2))
 
 
 def test_inverse_transport_inverts(rng):
     a = random_connection(DIM, 2, rng)
     seg = null_segment()
     u = parallel_transport(M3, a, seg, 0.0, 2.0)
-    w = inverse_transport(M3, a, seg, 0.0, 2.0)
+    w = inverse_transport(a, seg, 0.0, 2.0)
     assert np.linalg.norm(w @ u - np.eye(2)) < 1e-9
 
 
@@ -170,7 +170,7 @@ def test_inverse_transport_abelian_conjugate():
     a = abelian_dt(1.1)
     seg = null_segment()
     u = parallel_transport(M3, a, seg, 0.0, 2.0)
-    w = inverse_transport(M3, a, seg, 0.0, 2.0)
+    w = inverse_transport(a, seg, 0.0, 2.0)
     assert abs(w[0, 0] - np.conj(u[0, 0])) < 1e-12
 
 
@@ -196,7 +196,7 @@ def test_group_property_ordering():
         with pytest.raises(DomainError):
             identities(zero, b=b)
     with pytest.raises(DomainError):
-        transport_identities(M3, zero, *null_legs(reach=1.0), 0.7)
+        transport_identities(zero, *null_legs(reach=1.0), 0.7)
 
 
 def test_reversal_identity(rng):
@@ -225,9 +225,9 @@ def test_transport_identities_have_the_bits_of_separate_transports(metric):
     v = null_vector(m, x0, np.array([0.6, 0.8]))
     fwd, rev = integrate_geodesics(m, np.stack([x0, x0]), np.stack([v, -v]), [2.0, 0.0], 1e-2,
                                    s_min=[0.0, -2.0])
-    got = transport_identities(m, conn, fwd, rev, 0.9)
+    got = transport_identities(conn, fwd, rev, 0.9)
     p = parallel_transport(m, conn, fwd, 0.0, 2.0)
-    w = inverse_transport(m, conn, fwd, 0.0, 2.0)
+    w = inverse_transport(conn, fwd, 0.0, 2.0)
     [(k1, k2)], hs = _stage_generators([conn], fwd, 0.0, 2.0, 1e-3)
     trace = np.trace(from_coords(k1 + k2), axis1=-2, axis2=-1)
     expected = {
@@ -487,7 +487,7 @@ def test_shared_pass_has_the_bits_of_separate_transports(metric, n):
         legs += [(seg, 0.0, s), (seg, s, 0.0)]
     for conns in ([a, b], [a, a], [a, c]):
         for seg, lo, hi in legs:
-            shared = parallel_transports(metric, conns, seg, lo, hi, h=4e-3)
+            shared = parallel_transports(conns, seg, lo, hi, h=4e-3)
             for u, conn in zip(shared, conns):
                 assert u.tobytes() == parallel_transport(metric, conn, seg, lo, hi,
                                                          h=4e-3).tobytes()
