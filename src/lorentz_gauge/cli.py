@@ -124,7 +124,7 @@ def run_transport(fx, params, out_dir, strict):
     n_fix = int(params["n_fixtures"])
     conns, x0s, vs, bs = zip(*((fx.connection(), *_random_null_start(fx),
                                 fx.rng.uniform(0.3, 0.7) * s_max) for _ in range(n_fix)))
-    # one march of every fixture's ray and its reverse, gamma_{x0,-v} on [-s_max, 0]
+    # one stack of every fixture's ray and its reverse, gamma_{x0,-v} on [-s_max, 0]
     segs = integrate_geodesics(fx.metric, x0s + x0s, vs + tuple(-v for v in vs),
                                np.repeat([s_max, 0.0], n_fix), min(1e-2, s_max / 50),
                                s_min=np.repeat([0.0, -s_max], n_fix))

@@ -1,10 +1,15 @@
 """Lorentzian model spacetimes and their causal/geodesic structure.
 
 Provides the metric hierarchy (Minkowski, flat cylinder, warped
-products), geodesic integration with cubic-Hermite sample
-interpolation, time separation, null cut times, earliest observation
-times along worldlines, and null-geodesic connection by multi-start
-shooting.
+products), geodesic samples with cubic-Hermite interpolation, time
+separation, null cut times, earliest observation times along worldlines,
+and null-geodesic connection by multi-start shooting.
+
+Geodesics come from closed forms where the metric has them: straight
+lines on the flat metrics and straight lines in conformal time on the
+time-only warped product with flat spatial factor.  Every other ray, and
+a ray of that warp that crosses a vanishing warping function, is
+marched by fixed-step RK4.
 
 Causal structure comes from closed forms on the metric classes: tau
 from the coordinate difference, with the cylinder's angle wrapped to the
@@ -84,6 +89,18 @@ class Metric:
     def null_cut_time(self, x, v):
         """Null cut time of gamma_{x,v} (inf if it has no cut point)."""
         raise CapabilityError(f"null cut time not implemented for {self.name}")
+
+    # -- geodesics -----------------------------------------------------------
+
+    def geodesic_samples(self, x0s, v0s, s):
+        """Exact samples of the geodesics through the rows of the (R, dim)
+        stacks (x0s, v0s) at the parameters of the 1-D grids s[r]: one
+        (xs, vs) pair of (len(s[r]), dim) arrays per ray, or None for a ray
+        the closed form cannot serve.  Each ray's samples are the same alone
+        and in any stack.  Metrics without closed-form geodesics raise
+        CapabilityError, and integrate_geodesics marches their rays.
+        """
+        raise CapabilityError(f"closed-form geodesics not implemented for {self.name}")
 
     # -- derived quantities --------------------------------------------------
 
@@ -167,6 +184,12 @@ class _FlatMetric(Metric):
 
     def minkowski_delta(self, x, y):
         return self.coord_delta(y, x)
+
+    def geodesic_samples(self, x0s, v0s, s):
+        """Straight lines, whose velocities are one read-only row broadcast
+        over the samples."""
+        return [(x0 + sr[:, None] * v0, np.broadcast_to(v0.copy(), (len(sr), self.dim)))
+                for x0, v0, sr in zip(x0s, v0s, s)]
 
 
 class Minkowski(_FlatMetric):
@@ -279,30 +302,40 @@ class WarpedProduct(Metric):
                 "function and flat spatial factor"
             )
 
-    def _sqrt_beta_rule(self, a, b):
-        """The Gauss-Legendre rule for int_a^b sqrt(beta) dt over leading axes."""
-        half = 0.5 * (b - a)
-        p = np.zeros(np.shape(half) + (CONFORMAL_NODES.size, self.dim))
-        p[..., 0] = a[..., None] + half[..., None] * (CONFORMAL_NODES + 1.0)
+    def _time_beta(self, t):
+        """beta at the points (t, 0, ..., 0) over the leading axes of t."""
+        p = np.zeros(np.shape(t) + (self.dim,))
+        p[..., 0] = t
         beta = self.beta.value(p)
         if not (beta > 0).all():
             raise DomainError("warping function is not positive between 0 and t")
+        return beta
+
+    def _sqrt_beta_rule(self, a, b):
+        """The Gauss-Legendre rule for int_a^b sqrt(beta) dt over leading axes."""
+        half = 0.5 * (b - a)
+        beta = self._time_beta(a[..., None] + half[..., None] * (CONFORMAL_NODES + 1.0))
         return half * (np.sqrt(beta) * CONFORMAL_WEIGHTS).sum(axis=-1)
 
     def conformal_time(self, t):
         """t~(t) = int_0^t sqrt(beta) over leading axes of t: a table summed
         outward from 0 once per metric, widened only when t lies beyond it,
         gives the integral to the cell edge nearest 0; the rule adds the rest.
+        A widening at most doubles the table, so a t far beyond a zero of
+        beta raises DomainError before the table reaches past twice the zero.
         """
         t = np.asarray(t, dtype=float)
         if not np.isfinite(t).all():
             raise DomainError("conformal time needs a finite t")
         k = np.trunc(t / CONFORMAL_CELL).astype(int)
         for sign, n in ((1, k.max(initial=0)), (-1, -k.min(initial=0))):
-            if len(self._conformal_edges[sign]) <= n:  # a cumsum entry is the same in any width
-                edges = sign * CONFORMAL_CELL * np.arange(n + 1.0)
+            while len(self._conformal_edges[sign]) <= n:
+                # the running sum goes on from the last entry: an entry is the same in any width
+                table = self._conformal_edges[sign]
+                edges = sign * CONFORMAL_CELL * np.arange(len(table) - 1, min(n, 2 * len(table)) + 1.0)
                 cells = self._sqrt_beta_rule(edges[:-1], edges[1:])
-                self._conformal_edges[sign] = np.concatenate([[0.0], np.cumsum(cells)])
+                self._conformal_edges[sign] = np.concatenate(
+                    [table[:-1], np.cumsum(np.concatenate([table[-1:], cells]))])
         up, down = self._conformal_edges[1], self._conformal_edges[-1]
         at_edge = np.where(k >= 0, up[np.maximum(k, 0)], down[np.maximum(-k, 0)])
         return at_edge + self._sqrt_beta_rule(k * CONFORMAL_CELL, t)
@@ -318,6 +351,67 @@ class WarpedProduct(Metric):
     def null_cut_time(self, x, v):
         self._require_conformally_flat("null cut time")
         return math.inf
+
+    def _conformal_inverse(self, target, t):
+        """The t with conformal_time(t) = target over a 1-D array, by Newton's
+        method from the guess t.  Each entry stops on its own, once its step
+        is at most 1e-15 max(1, |t|) or its residual at most 4 eps max(1,
+        |target|) (where sqrt(beta) is small the rounding of conformal time
+        keeps the step above the first bound); GeometryError if an entry has
+        not stopped after 50 steps.
+        """
+        t = np.array(t, dtype=float)
+        live = np.arange(t.size)
+        for _ in range(50):
+            tl, goal = t[live], target[live]
+            r = self.conformal_time(tl) - goal
+            step = r / np.sqrt(self._time_beta(tl))
+            t[live] = tl - step
+            done = ((np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(t[live])))
+                    | (np.abs(r) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(goal))))
+            live = live[~done]
+            if not live.size:
+                return t
+        raise GeometryError("Newton's method on conformal time did not converge")
+
+    def _conformal_lines(self, x0s, v0s, s):
+        """geodesic_samples of rays that conformal time serves entirely; DomainError otherwise."""
+        counts = [len(sr) for sr in s]
+        sa = np.concatenate(s)
+        t0s = x0s[:, 0]
+        root0 = np.sqrt(self._time_beta(t0s))
+        vs = np.repeat(v0s, counts, axis=0)
+        xs = np.repeat(x0s, counts, axis=0) + sa[:, None] * vs
+        # Newton from the coordinate-time line t0 + v^0 s
+        target = (np.repeat(self.conformal_time(t0s), counts)
+                  + np.repeat(root0 * v0s[:, 0], counts) * sa)
+        xs[:, 0] = self._conformal_inverse(target, xs[:, 0])
+        vs[:, 0] *= np.repeat(root0, counts) / np.sqrt(self._time_beta(xs[:, 0]))
+        ends = np.cumsum(counts)[:-1]
+        return list(zip(np.split(xs, ends), np.split(vs, ends)))
+
+    def geodesic_samples(self, x0s, v0s, s):
+        """Straight lines in conformal time: x(s) = x0 + v_x s, the t(s) with
+        t~(t(s)) = t~(t0) + sqrt(beta(t0)) v^0 s by Newton's method on
+        conformal_time, and v^0(s) = v^0 sqrt(beta(t0)) / sqrt(beta(t(s))).
+        A ray with a time at which conformal time raises DomainError (beta
+        vanishes between 0 and it) gets None; when one ray of the stack does,
+        each ray is computed alone.
+        """
+        self._require_conformally_flat("closed-form geodesics")
+        if not len(s):
+            return []
+        try:
+            return self._conformal_lines(x0s, v0s, s)
+        except DomainError:
+            pass
+        samples = []
+        for r in range(len(s)):
+            try:
+                samples += self._conformal_lines(x0s[r:r + 1], v0s[r:r + 1], s[r:r + 1])
+            except DomainError:
+                samples.append(None)
+        return samples
 
 
 def metric_from_json(obj):
@@ -477,12 +571,13 @@ def integrate_geodesics(metric, x0s, v0s, s_max, h, s_min=0.0):
 
     x0s and v0s are (R, dim) stacks; s_max, h and s_min are scalars or one
     value per ray, and each range must contain the start parameter 0.
-    Flat metrics take the exact straight-line path, whose velocities are
-    one read-only row broadcast over the samples; otherwise one
-    fixed-step RK4 march carries every ray, each with step size at most
-    its h, backward to s_min and forward to s_max.  ``truncated`` is set
-    on a returned segment if its trajectory leaves the chart early.
-    Returns one GeodesicSegment per ray.
+    A ray's samples lie on the linspace of equal steps of size at most its
+    h backward to s_min and forward to s_max.  The metric's closed form
+    (``Metric.geodesic_samples``) gives them where it has one: straight
+    lines on the flat metrics and in conformal time on the time-only warp.
+    The rays it cannot serve take one fixed-step RK4 march together;
+    ``truncated`` is set on a returned segment if its march leaves the
+    chart early.  Returns one GeodesicSegment per ray.
     """
     x0s = np.asarray(x0s, dtype=float)
     v0s = np.asarray(v0s, dtype=float)
@@ -499,32 +594,40 @@ def integrate_geodesics(metric, x0s, v0s, s_max, h, s_min=0.0):
         raise DomainError("the parameter range [s_min, s_max] must contain 0")
     if min(steps, default=1.0) <= 0:
         raise DomainError("step size must be positive")
-    if metric.is_flat:
-        segments = []
-        for x0, v0, lo, hi, hr in zip(x0s, v0s, lows, highs, steps):
-            n = max(2, int(math.ceil((hi - lo) / hr)) + 1)
-            s = np.linspace(lo, hi, n)
-            segments.append(GeodesicSegment(metric, s, x0 + s[:, None] * v0,
-                                            np.broadcast_to(v0.copy(), (n, metric.dim))))
+    # steps backward and forward; the backward grid reversed, without its copy of 0
+    n_back, n_fwd, grids = [], [], []
+    for lo, hi, hr in zip(lows, highs, steps):
+        nb = max(1, math.ceil(-lo / hr)) if lo < 0 else 0
+        nf = max(1, math.ceil(hi / hr)) if hi > 0 else 0
+        s = np.linspace(0, hi, nf + 1)
+        grids.append(np.concatenate([np.linspace(0, lo, nb + 1)[:0:-1], s]) if nb else s)
+        n_back.append(nb)
+        n_fwd.append(nf)
+    try:
+        samples = metric.geodesic_samples(x0s, v0s, grids)
+    except CapabilityError:
+        samples = [None] * n_rays
+    segments = [None if sample is None else GeodesicSegment(metric, s, *sample)
+                for s, sample in zip(grids, samples)]
+    rest = [r for r, sample in enumerate(samples) if sample is None]
+    if not rest:
         return segments
-    # one march: the backward rays of negative s_min, then the forward rays
-    back, fwd = np.flatnonzero(s_min < 0), np.flatnonzero(s_max > 0)
-    rays = np.concatenate([back, fwd])
-    s_stop = np.concatenate([s_min[back], s_max[fwd]])
-    n_steps = np.maximum(1, np.ceil(np.abs(s_stop) / h[rays])).astype(int)
-    marched = [(np.linspace(0, s, n + 1)[: len(xs)], xs, vs, tr) for s, n, (xs, vs, tr)
-               in zip(s_stop, n_steps, _rk4_march(metric, x0s[rays], v0s[rays], s_stop, n_steps))]
+    # one march of the rest: the backward rays of negative s_min, then the forward rays
+    back = [r for r in rest if n_back[r]]
+    fwd = [r for r in rest if n_fwd[r]]
+    marched = _rk4_march(metric, x0s[back + fwd], v0s[back + fwd],
+                         [lows[r] for r in back] + [highs[r] for r in fwd],
+                         [n_back[r] for r in back] + [n_fwd[r] for r in fwd])
     backward = dict(zip(back, marched[: len(back)]))
     forward = dict(zip(fwd, marched[len(back):]))
-    segments = []
-    for r in range(n_rays):
-        s, xs, vs, tr = forward.get(r, (np.zeros(1), x0s[r:r + 1], v0s[r:r + 1], False))
-        if r in backward:  # reversed, without its copy of the start point
-            sb, xb, vb, trb = backward[r]
-            s, xs, vs = (np.concatenate([sb[:0:-1], s]), np.concatenate([xb[:0:-1], xs]),
-                         np.concatenate([vb[:0:-1], vs]))
-            tr = tr or trb
-        segments.append(GeodesicSegment(metric, s, xs, vs, truncated=tr))
+    for r in rest:
+        xs, vs, tr = forward.get(r, (x0s[r:r + 1], v0s[r:r + 1], False))
+        xb, vb, trb = backward.get(r, (xs[:1], vs[:1], False))
+        # the backward march reversed, without its copy of the start point
+        xs, vs = np.concatenate([xb[:0:-1], xs]), np.concatenate([vb[:0:-1], vs])
+        start = n_back[r] - (len(xb) - 1)
+        segments[r] = GeodesicSegment(metric, grids[r][start:start + len(xs)], xs, vs,
+                                      truncated=tr or trb)
     return segments
 
 
@@ -753,7 +856,7 @@ class NullConnection:
 
 
 # shooting: residual accepted as converged, distance below which two
-# solutions are one, and the RK4 step of each shot
+# solutions are one, and the geodesic step of each shot
 SHOOT_TOL = 1e-9
 SHOOT_DEDUP = 1e-4
 SHOOT_STEP = 1e-2

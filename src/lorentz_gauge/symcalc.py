@@ -60,7 +60,7 @@ class InteractionGeometry:
 
 
 # the s' search: grid size over s_range, margin inside the observation
-# set, and the RK4 step of the three source legs
+# set, and the geodesic step of the three source legs
 S_SCAN_POINTS = 120
 S_SCAN_MARGIN = 1e-6
 SOURCE_LEG_STEP = 1e-2
@@ -263,7 +263,7 @@ def _min_distance(a, b):
     return math.sqrt(best)
 
 
-# RK4 step bound of the outgoing segment and of the flowout rays
+# geodesic step bound of the outgoing segment and of the flowout rays
 FLOWOUT_STEP = 1e-2
 
 

@@ -508,24 +508,33 @@ def test_cli_contract_failed_check(tmp_path, capsys, case):
     assert not checks[check]["pass"]
 
 
-# marches and rays of the default experiment sizes on the time-only warp:
-# (RK4 marches, rays marched, rays through transport.integrate_geodesics)
-WARP_MARCHES = {"geodesic": (1, 10, 0), "transport": (1, 40, 0), "broken": (60, 140, 40)}
+# stacks and rays of the default experiment sizes on the time-only warp:
+# (integrate_geodesics stacks, rays computed by the closed form or by RK4,
+# rays through transport.integrate_geodesics)
+WARP_RAYS = {"geodesic": (1, 10, 0), "transport": (1, 40, 0), "broken": (60, 140, 40)}
 
 
-@pytest.mark.parametrize("command", sorted(WARP_MARCHES))
+@pytest.mark.parametrize("command", sorted(WARP_RAYS))
 def test_experiments_march_each_ray_once(tmp_path, monkeypatch, command):
-    # the fixtures are drawn first and marched as one stack, a transport
+    # the fixtures are drawn first and computed as one stack, a transport
     # fixture's ray and its reverse included; a broken query's validated
-    # legs are the legs transported, for S^A and S^(A <| phi^-1) alike
+    # legs are the legs transported, for S^A and S^(A <| phi^-1) alike.
+    # A ray counts once on the path that serves it: a closed-form sample set
+    # or one RK4 march of a direction
     import lorentz_gauge.geometry as geo
     import lorentz_gauge.transport as tr
 
-    rk4_march, integrate_geodesics = geo._rk4_march, tr.integrate_geodesics
+    samples, rk4_march = geo.WarpedProduct.geodesic_samples, geo._rk4_march
+    integrate_geodesics = tr.integrate_geodesics
     counts = [0, 0, 0]
 
-    def march(metric, x0, v0, s_stop, n_steps):
+    def closed_form(metric, x0s, v0s, s):
         counts[0] += 1
+        served = samples(metric, x0s, v0s, s)
+        counts[1] += sum(sample is not None for sample in served)
+        return served
+
+    def march(metric, x0, v0, s_stop, n_steps):
         counts[1] += len(n_steps)
         return rk4_march(metric, x0, v0, s_stop, n_steps)
 
@@ -533,12 +542,13 @@ def test_experiments_march_each_ray_once(tmp_path, monkeypatch, command):
         counts[2] += len(x0s)
         return integrate_geodesics(metric, x0s, *args, **kwargs)
 
+    monkeypatch.setattr(geo.WarpedProduct, "geodesic_samples", closed_form)
     monkeypatch.setattr(geo, "_rk4_march", march)
     monkeypatch.setattr(tr, "integrate_geodesics", legs)
     cfg = tmp_path / "warp.json"
     cfg.write_text(json.dumps({"metric": SWEEP_METRICS["time-only-warp"]}))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert tuple(counts) == WARP_MARCHES[command]
+    assert tuple(counts) == WARP_RAYS[command]
 
 
 def test_transport_fixture_makes_each_transport_once(tmp_path, monkeypatch):

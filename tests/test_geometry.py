@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lorentz_gauge.errors import CapabilityError, DomainError
+from lorentz_gauge.errors import CapabilityError, DomainError, GeometryError
 from lorentz_gauge.expansions import ScalarExpansion
 from lorentz_gauge.gauge import random_connection
 from lorentz_gauge.geometry import (
@@ -44,10 +44,11 @@ def warped():
     return WarpedProduct(2, ExpBeta(), beta_time_only=True)
 
 
-def warped_cosine():
-    """Time-only warp beta = 1 + 0.3 cos(t/2) in 2+1, flat spatial factor."""
+def warped_cosine(time_only=True):
+    """Time-only warp beta = 1 + 0.3 cos(t/2) in 2+1, flat spatial factor;
+    with time_only=False the same beta undeclared, whose rays RK4 marches."""
     beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
-    return WarpedProduct(3, beta, beta_time_only=True)
+    return WarpedProduct(3, beta, beta_time_only=time_only)
 
 
 def warped_spatial():
@@ -206,8 +207,9 @@ def test_warped_null_geodesic_preserves_nullness():
 
 
 def test_warped_geodesic_fourth_order():
-    # Richardson: halving h must cut the endpoint error ~16x.
-    m = warped()
+    # Richardson: halving h must cut the endpoint error ~16x; beta = e^{2t}
+    # undeclared, since the declared time-only warp has closed-form rays
+    m = WarpedProduct(2, ExpBeta(), beta_time_only=False)
     v0 = np.array([1.0, 0.999])
 
     def endpoint(h):
@@ -217,6 +219,60 @@ def test_warped_geodesic_fourth_order():
     e1 = np.linalg.norm(endpoint(0.02) - ref)
     e2 = np.linalg.norm(endpoint(0.01) - ref)
     assert 8.0 <= e1 / e2 <= 32.0
+
+
+@pytest.mark.parametrize("declared, marched, rays", [
+    (warped_cosine(), warped_cosine(time_only=False),
+     [([1.0, 0.2, 0.1], [0.6, 0.8]), ([2.5, -0.3, 0.4], [-1.0, 0.0]), ([0.0, 0.0, 0.0], [0.8, -0.6])]),
+    # RK4's own error at h = 5e-3 stays below 1e-13 where v^0 = e^{-t} < 1
+    (warped(), WarpedProduct(2, ExpBeta(), beta_time_only=False),
+     [([1.0, 0.0], [1.0]), ([1.2, 0.1], [-1.0]), ([1.5, 0.0], [1.0])]),
+], ids=["cosine", "exp"])
+def test_closed_form_geodesics_match_rk4(declared, marched, rays):
+    # the straight lines of conformal time on a declared time-only warp, against
+    # RK4 on the same beta undeclared: same grid, positions and velocities within
+    # 1e-12, and a worst null residual below RK4's (a ray's start vector is shared)
+    residuals = []
+    for x0, u in rays:
+        x0 = np.array(x0)
+        for sign in (1.0, -1.0):
+            v0 = null_vector(declared, x0, np.array(u), time_sign=sign)
+            closed = integrate_geodesic(declared, x0, v0, 0.5, h=5e-3, s_min=-0.5)
+            rk4 = integrate_geodesic(marched, x0, v0, 0.5, h=5e-3, s_min=-0.5)
+            assert np.array_equal(closed.s, rk4.s)
+            assert np.max(np.abs(closed.x - rk4.x)) < 1e-12
+            assert np.max(np.abs(closed.v - rk4.v)) < 1e-12
+            residuals.append((closed.null_residual(), rk4.null_residual()))
+    worst_closed, worst_rk4 = np.max(residuals, axis=0)
+    assert worst_closed < worst_rk4
+
+
+def test_closed_form_geodesics_on_exp_warp_are_exact():
+    # beta = e^{2t}: conformal time e^t - 1, so t(s) = t0 + log(1 + v^0 s) and
+    # v^0(s) = v^0 / (1 + v^0 s)
+    v0 = np.array([0.8, 1.0])
+    seg = integrate_geodesic(warped(), np.array([0.3, 0.1]), v0, 1.0, h=1e-2, s_min=-0.5)
+    assert np.allclose(seg.x[:, 0], 0.3 + np.log1p(0.8 * seg.s), rtol=0, atol=1e-14)
+    assert np.allclose(seg.v[:, 0], 0.8 / (1 + 0.8 * seg.s), rtol=0, atol=1e-14)
+    assert np.array_equal(seg.x[:, 1], 0.1 + seg.s * 1.0)
+    assert np.array_equal(seg.v[:, 1], np.ones(len(seg.s)))
+
+
+def test_closed_form_newton_names_its_failure():
+    # a conformal time whose slope is not sqrt(beta) sends Newton's method away
+    # from the root: after its cap of steps it raises, never returns a guess
+    metric = warped_cosine()
+    metric.conformal_time = lambda t: 3.0 * np.asarray(t)
+    with pytest.raises(GeometryError, match="did not converge"):
+        integrate_geodesic(metric, np.zeros(3), np.array([1.0, 0.6, 0.8]), 1.0, h=0.1)
+
+
+def test_geodesic_samples_is_a_capability():
+    # a warp with a g0_diag factor, or whose beta is not declared time-only, has no closed form
+    x0s, v0s = np.zeros((1, 3)), np.array([[1.0, 0.6, 0.8]])
+    for metric in (warped_spatial(), warped_cosine(time_only=False)):
+        with pytest.raises(CapabilityError):
+            metric.geodesic_samples(x0s, v0s, [np.linspace(0.0, 1.0, 5)])
 
 
 def test_segment_interpolation_accuracy():
@@ -283,11 +339,18 @@ def _segment_by_rays(metric, x0, v0, s_max, h, s_min):
     return s, xs, vs, truncated
 
 
-def _assert_segments_match_rays(metric, x0s, v0s, s_max, h, s_min):
+def _segment_alone(metric, x0, v0, s_max, h, s_min):
+    """The segment of one ray integrated alone."""
+    seg = integrate_geodesic(metric, x0, v0, s_max, h=h, s_min=s_min)
+    return seg.s, seg.x, seg.v, seg.truncated
+
+
+def _assert_segments_match_rays(metric, x0s, v0s, s_max, h, s_min, alone=_segment_by_rays):
+    """Each ray of the stack has the bits of alone(metric, x0, v0, s_max, h, s_min)."""
     segments = integrate_geodesics(metric, x0s, v0s, s_max, h, s_min=s_min)
     assert len(segments) == len(x0s)
     for seg, args in zip(segments, zip(x0s, v0s, s_max, h, s_min)):
-        s, xs, vs, truncated = _segment_by_rays(metric, *args)
+        s, xs, vs, truncated = alone(metric, *args)
         assert np.array_equal(seg.s, s)
         assert np.array_equal(seg.x, xs)
         assert np.array_equal(seg.v, vs)
@@ -295,19 +358,53 @@ def _assert_segments_match_rays(metric, x0s, v0s, s_max, h, s_min):
     return segments
 
 
-@pytest.mark.parametrize("metric", [warped_cosine(), warped_spatial()],
-                         ids=["time-only", "g0_diag"])
-def test_integrate_geodesics_matches_ray_loop(metric):
+@pytest.mark.parametrize("metric, alone",
+                         [(warped_cosine(), _segment_alone),
+                          (warped_cosine(time_only=False), _segment_by_rays),
+                          (warped_spatial(), _segment_by_rays)],
+                         ids=["closed-form", "time-only", "g0_diag"])
+def test_integrate_geodesics_matches_ray_loop(metric, alone):
     # rays of different lengths and steps, backward ranges, and one range
-    # [-0.8, 0] that ends at its start point
+    # [-0.8, 0] that ends at its start point; a marched ray has the bits of
+    # the textbook RK4 loop, a closed-form ray the bits it has alone
     x0s = np.array([[3.0, 0.2, 0.1], [2.5, -0.4, 0.3], [3.5, 0.0, -0.2], [3.0, 0.5, 0.5]])
     v0s = np.array([[1.0, 0.6, 0.8], [-1.0, 0.8, -0.6], [1.0, 0.0, 1.0], [0.5, 0.3, -0.4]])
     segments = _assert_segments_match_rays(metric, x0s, v0s, s_max=[1.0, 0.7, 0.0, 1.3],
                                            h=[1e-2, 3e-2, 2e-2, 5e-2],
-                                           s_min=[0.0, -0.5, -0.8, -0.3])
+                                           s_min=[0.0, -0.5, -0.8, -0.3], alone=alone)
     assert [seg.s_min for seg in segments] == [0.0, -0.5, -0.8, -0.3]
     assert [seg.s_max for seg in segments] == [1.0, 0.7, 0.0, 1.3]
     assert not any(seg.truncated for seg in segments)
+
+
+def test_closed_form_leaves_rays_past_a_vanishing_warp_to_rk4():
+    # beta = 0.5 + cos(t/2) (the CLI's vanishing warp) vanishes at t = 4pi/3
+    # and 8pi/3, and conformal time cannot reach past the first zero: the ray
+    # that crosses it (RK4 truncates it at t = 4.1879) and the ray that starts
+    # beyond the second are marched as the RK4 loop marches them, and the
+    # rays between keep the closed-form bits they have alone
+    beta = ScalarExpansion(3, constant=0.5, waves=[(1.0, [0.5, 0.0, 0.0], 0.0)])
+    metric = WarpedProduct(3, beta, beta_time_only=True)
+    x0s = np.array([[1.0, 0.2, 0.1], [3.25, 0.1, 0.0], [2.0, -0.4, 0.3], [10.0, 0.1, -0.2]])
+    v0s = np.array([[1.0, 0.6, 0.8], [1.6, 0.5, 0.2], [-1.0, 0.8, -0.6], [1.0, 0.0, 1.0]])
+    s_max, h, s_min = [1.0, 2.0, 0.5, 1.0], [1e-2, 0.2, 2e-2, 1e-2], [-0.5, 0.0, -0.4, -0.3]
+    segments = integrate_geodesics(metric, x0s, v0s, s_max, h, s_min=s_min)
+    rays = zip(x0s, v0s, s_max, h, s_min)
+    for seg, ray, alone in zip(segments, rays, [_segment_alone, _segment_by_rays] * 2):
+        s, xs, vs, truncated = alone(metric, *ray)
+        assert np.array_equal(seg.s, s) and seg.truncated == truncated
+        assert np.array_equal(seg.x, xs) and np.array_equal(seg.v, vs)
+    assert [seg.truncated for seg in segments] == [False, True, False, False]
+    assert segments[1].x[-1, 0] == pytest.approx(4.1879, abs=1e-4)
+    served = metric.geodesic_samples(x0s[[0, 2]], v0s[[0, 2]], [segments[0].s, segments[2].s])
+    for seg, (xs, vs) in zip(segments[::2], served):
+        assert np.array_equal(seg.x, xs) and np.array_equal(seg.v, vs)
+    # a crossing ray whose RK4 stage lands where beta < 0 stops its stack, as alone
+    with pytest.raises(DomainError):
+        _rk4_ray(metric, np.array([3.5, 0.0, 0.0]), np.array([1.0, 0.5, 0.2]), 1.0, 1e-2)
+    with pytest.raises(DomainError):
+        integrate_geodesics(metric, np.array([x0s[0], [3.5, 0.0, 0.0]]),
+                            np.array([v0s[0], [1.0, 0.5, 0.2]]), 1.0, 1e-2)
 
 
 def test_integrate_geodesics_truncates_one_ray_at_the_chart():
@@ -418,6 +515,16 @@ def test_conformal_time_evaluates_beta_between_0_and_t():
         assert min(0.0, t) <= min(beta.seen) and max(beta.seen) <= max(0.0, t)
     with pytest.raises(DomainError):
         WarpedProduct(2, LinearBeta(), beta_time_only=True).conformal_time(-1.5)
+
+
+def test_conformal_time_far_beyond_a_zero_stops_near_it():
+    # beta = 1 + t vanishes at t = -1: a t of -1e9 (as a Newton step of the
+    # closed-form rays can reach where sqrt(beta) is small) raises after the
+    # table has doubled past the zero, not after a table of 4e9 cells
+    beta = LinearBeta()
+    with pytest.raises(DomainError):
+        WarpedProduct(2, beta, beta_time_only=True).conformal_time(-1e9)
+    assert min(beta.seen) >= -2.0 and len(beta.seen) < 200
 
 
 def test_conformal_time_is_the_same_alone_and_in_a_batch():
@@ -690,7 +797,7 @@ def test_connect_null_no_solution():
 
 
 def test_connect_null_time_only_warp():
-    # the curved branch of the shooting: every trial ray is an RK4 march
+    # the curved branch of the shooting: every trial ray is a closed-form ray
     m = warped_cosine()
     x = np.array([1.0, 0.2, -0.1])
     v = null_vector(m, x, np.array([0.6, 0.8]))

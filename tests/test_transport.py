@@ -363,7 +363,7 @@ def test_cut_time_cache_reuse():
 
 def test_validation_sees_the_transported_legs(monkeypatch):
     # on a warped metric the endpoint tests of validate_query run on the
-    # same RK4 segments that broken_transform transports
+    # same segments that broken_transform transports
     import lorentz_gauge.transport as tr
 
     beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
