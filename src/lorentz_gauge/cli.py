@@ -38,7 +38,7 @@ from .reconstruction import (
     LEG_SCAN_MARGIN,
     LEG_SCAN_POINTS,
     TransformOracle,
-    _admissible_out_legs,
+    admissible_out_legs,
     diamond_grid,
     reconstruct_gauge,
     verify_gauge_ode,
@@ -154,7 +154,7 @@ def _admissible_queries(fx, count, cache):
         y = np.zeros(m.dim)
         y[0] = fx.rng.uniform(1.5, obs.T - 1.5)
         y[1:] = fx.rng.uniform(-1.8, 1.8, m.dim - 1)
-        outs = _admissible_out_legs(m, obs, y, 4, cache)
+        outs = admissible_out_legs(m, obs, y, 4, cache)
         if not outs:
             continue
         w, s_out = outs[fx.rng.integers(len(outs))]

@@ -208,15 +208,10 @@ class GaugeField:
         """phi(x), exactly unitary; batched over leading axes."""
         return expm_skew(from_coords(self.log(x)))
 
-    def value_and_derivative(self, x, v):
-        """phi(x) and d phi(x)[v] from one decomposition; batched over leading axes of x and v."""
-        log, dlog_v = self.log(x, v)
-        return expm_frechet_skew(from_coords(log), from_coords(dlog_v))
-
     def differential(self, x):
         """d_k phi (x), shape (..., dim, n, n): the derivatives along the coordinate axes."""
-        x = np.asarray(x, dtype=float)
-        return self.value_and_derivative(x[..., None, :], np.eye(self.dim))[1]
+        log, dlog = self.log(np.asarray(x, dtype=float)[..., None, :], np.eye(self.dim))
+        return expm_frechet_skew(from_coords(log), from_coords(dlog))[1]
 
     def inverse(self):
         neg = [(f, -xmat) for f, xmat in self.generator.terms]
@@ -253,22 +248,17 @@ class GaugedConnection:
     def gauge_coords(self, x, v, a):
         """Coordinates of <A <| phi, v> = phi^H (d phi[v] + <A, v> phi) from a, those of <A, v>.
 
-        For n = 2, with phi = e^{i a} q and <A, v> = i c I + b . e, that is
-        the phase da[v] + c and the quaternion q^-1 dq[v] + q^-1 (b . e) q.
         Where the cutoff chi is exactly 0, phi = I and d phi = 0 (the smooth
         step and its derivative vanish together, also where exp(-1/u)
         underflows), so there it keeps a (a itself where chi is 0 at every
         point) and evaluates the gauge, with chi and its gradient from one
         value_and_grad, at the other points only, gathered and scattered by index.
         """
-        if self.n != 2:
-            u, dphi_v = self.phi.value_and_derivative(x, v)
-            return to_coords(adjoint(u) @ (dphi_v + from_coords(a) @ u))
         x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
         chi, grad = self.phi.cutoff.value_and_grad(x)
         live = chi != 0
         if live.all():
-            return self._gauged_u2(x, v, a, (chi, grad))
+            return self._gauged(x, v, a, (chi, grad))
         if not live.any():
             return a
         shape = a.shape[:-1]
@@ -277,12 +267,19 @@ class GaugedConnection:
             np.take(np.broadcast_to(y, shape + y.shape[-1:]).reshape(-1, y.shape[-1]), live, 0)
             for y in (x, v, grad, a, chi[..., None]))
         out = a.copy()
-        out.reshape(-1, a.shape[-1])[live] = self._gauged_u2(x, v, a_live, (chi[:, 0], grad))
+        out.reshape(-1, a.shape[-1])[live] = self._gauged(x, v, a_live, (chi[:, 0], grad))
         return out
 
-    def _gauged_u2(self, x, v, a, cutoff):
-        """The n = 2 gauged coordinates at x, v, where <A, v> has coordinates a."""
+    def _gauged(self, x, v, a, cutoff):
+        """The gauged coordinates at x, v, where <A, v> has coordinates a.
+
+        For n = 2, with phi = e^{i a} q and <A, v> = i c I + b . e, that is
+        the phase da[v] + c and the quaternion q^-1 dq[v] + q^-1 (b . e) q.
+        """
         log, dlog_v = self.phi.log(x, v, cutoff)
+        if self.n != 2:
+            u, dphi_v = expm_frechet_skew(from_coords(log), from_coords(dlog_v))
+            return to_coords(adjoint(u) @ (dphi_v + from_coords(a) @ u))
         q, dq = quat_exp(log[..., 1:], dlog_v[..., 1:])
         # q * (1, -1, -1, -1) is q^-1; a * (0, 1, 1, 1) is b . e as a pure quaternion
         rot = hamilton(q * [1, -1, -1, -1], dq + hamilton(a * [0, 1, 1, 1], q))

@@ -7,9 +7,11 @@ and null-geodesic connection by multi-start shooting.
 
 Geodesics come from closed forms where the metric has them: straight
 lines on the flat metrics and straight lines in conformal time on the
-time-only warped product with flat spatial factor.  Every other ray, and
-a ray of that warp that crosses a vanishing warping function, is
-marched by fixed-step RK4.
+time-only warped product with flat spatial factor.  That warp is a
+spacetime only on the slab around t = 0 where its warping function is
+positive, so a ray leaving the slab raises DomainError, as a causal
+query there does.  The rays of every other metric are marched by
+fixed-step RK4, which truncates a ray where it leaves the chart.
 
 Causal structure comes from closed forms on the metric classes: tau
 from the coordinate difference, with the cylinder's angle wrapped to the
@@ -95,10 +97,10 @@ class Metric:
     def geodesic_samples(self, x0s, v0s, s):
         """Exact samples of the geodesics through the rows of the (R, dim)
         stacks (x0s, v0s) at the parameters of the 1-D grids s[r]: one
-        (xs, vs) pair of (len(s[r]), dim) arrays per ray, or None for a ray
-        the closed form cannot serve.  Each ray's samples are the same alone
-        and in any stack.  Metrics without closed-form geodesics raise
-        CapabilityError, and integrate_geodesics marches their rays.
+        (xs, vs) pair of (len(s[r]), dim) arrays per ray.  Each ray's
+        samples are the same alone and in any stack.  Metrics without
+        closed-form geodesics raise CapabilityError, and integrate_geodesics
+        marches their rays.
         """
         raise CapabilityError(f"closed-form geodesics not implemented for {self.name}")
 
@@ -257,12 +259,17 @@ class WarpedProduct(Metric):
         return self.beta.value(x) > 0
 
     def _diag(self, x):
-        """The diagonal D of the metric at x, shape (..., dim)."""
+        """The diagonal D of the metric at x, shape (..., dim), also outside the chart."""
         x = np.asarray(x, dtype=float)
         diag = np.ones(x.shape[:-1] + (self.dim,))
         diag[..., 0] = -self.beta.value(x)
         for i, f in enumerate(self.g0_diag or ()):
             diag[..., i + 1] = f.value(x)
+        return diag
+
+    def _chart_diag(self, x):
+        """_diag, or DomainError if beta <= 0 at a point of x."""
+        diag = self._diag(x)
         if (diag[..., 0] >= 0).any():
             raise DomainError("warping function is not positive at this point")
         return diag
@@ -277,10 +284,10 @@ class WarpedProduct(Metric):
         return grad
 
     def matrix(self, x):
-        return self._diag(x)[..., None] * np.eye(self.dim)
+        return self._chart_diag(x)[..., None] * np.eye(self.dim)
 
     def inverse(self, x):
-        return (1.0 / self._diag(x))[..., None] * np.eye(self.dim)
+        return (1.0 / self._chart_diag(x))[..., None] * np.eye(self.dim)
 
     def partials(self, x):
         return self._diag_grad(x)[..., None] * np.eye(self.dim)
@@ -288,12 +295,16 @@ class WarpedProduct(Metric):
     def geodesic_acceleration(self, x, v):
         """Closed form of -Gamma(v, v) for the diagonal metric D:
         a_i = -(v_i (d_v D_i) - 1/2 sum_j v_j^2 d_i D_j) / D_i.
+        NaN where beta <= 0, outside the chart, so that an RK4 stage landing
+        there truncates its ray alone.
         """
         v = np.asarray(v, dtype=float)
         grad = self._diag_grad(x)
         along = (v[..., None, :] @ grad)[..., 0, :]
         across = (grad @ (v * v)[..., None])[..., 0]
-        return -(v * along - 0.5 * across) / self._diag(x)
+        diag = self._diag(x)
+        with np.errstate(divide="ignore"):
+            return np.where(diag[..., :1] < 0, -(v * along - 0.5 * across) / diag, np.nan)
 
     def _require_conformally_flat(self, query):
         if not (self.beta_time_only and self.g0_diag is None):
@@ -374,8 +385,17 @@ class WarpedProduct(Metric):
                 return t
         raise GeometryError("Newton's method on conformal time did not converge")
 
-    def _conformal_lines(self, x0s, v0s, s):
-        """geodesic_samples of rays that conformal time serves entirely; DomainError otherwise."""
+    def geodesic_samples(self, x0s, v0s, s):
+        """Straight lines in conformal time: x(s) = x0 + v_x s, the t(s) with
+        t~(t(s)) = t~(t0) + sqrt(beta(t0)) v^0 s by Newton's method on
+        conformal_time, and v^0(s) = v^0 sqrt(beta(t0)) / sqrt(beta(t(s))).
+        A ray with a time that conformal time cannot reach (beta vanishes
+        between 0 and it) raises DomainError for the stack, as a causal query
+        there does: the metric is a spacetime only on the slab where beta > 0.
+        """
+        self._require_conformally_flat("closed-form geodesics")
+        if not len(s):
+            return []
         counts = [len(sr) for sr in s]
         sa = np.concatenate(s)
         t0s = x0s[:, 0]
@@ -389,29 +409,6 @@ class WarpedProduct(Metric):
         vs[:, 0] *= np.repeat(root0, counts) / np.sqrt(self._time_beta(xs[:, 0]))
         ends = np.cumsum(counts)[:-1]
         return list(zip(np.split(xs, ends), np.split(vs, ends)))
-
-    def geodesic_samples(self, x0s, v0s, s):
-        """Straight lines in conformal time: x(s) = x0 + v_x s, the t(s) with
-        t~(t(s)) = t~(t0) + sqrt(beta(t0)) v^0 s by Newton's method on
-        conformal_time, and v^0(s) = v^0 sqrt(beta(t0)) / sqrt(beta(t(s))).
-        A ray with a time at which conformal time raises DomainError (beta
-        vanishes between 0 and it) gets None; when one ray of the stack does,
-        each ray is computed alone.
-        """
-        self._require_conformally_flat("closed-form geodesics")
-        if not len(s):
-            return []
-        try:
-            return self._conformal_lines(x0s, v0s, s)
-        except DomainError:
-            pass
-        samples = []
-        for r in range(len(s)):
-            try:
-                samples += self._conformal_lines(x0s[r:r + 1], v0s[r:r + 1], s[r:r + 1])
-            except DomainError:
-                samples.append(None)
-        return samples
 
 
 def metric_from_json(obj):
@@ -527,8 +524,10 @@ def _rk4_march(metric, x0, v0, s_stop, n_steps):
     Ray r starts at (x0[r], v0[r]) with parameter 0 and takes n_steps[r]
     steps of s_stop[r] / n_steps[r]; the sign of s_stop sets its direction.
     a is evaluated over the leading axis of the rays still marching.  A ray
-    stops early, truncated, when its point or velocity stops being finite
-    or its point leaves the chart.  Returns one (xs, vs, truncated) per ray.
+    stops early, truncated at its last good step, when its point or
+    velocity stops being finite or its point leaves the chart; a stage
+    outside the chart makes a NaN on the warped product, so that ray
+    stops alone.  Returns one (xs, vs, truncated) per ray.
     """
     def rhs(x, v):
         return v, metric.geodesic_acceleration(x, v)
@@ -573,9 +572,10 @@ def integrate_geodesics(metric, x0s, v0s, s_max, h, s_min=0.0):
     value per ray, and each range must contain the start parameter 0.
     A ray's samples lie on the linspace of equal steps of size at most its
     h backward to s_min and forward to s_max.  The metric's closed form
-    (``Metric.geodesic_samples``) gives them where it has one: straight
-    lines on the flat metrics and in conformal time on the time-only warp.
-    The rays it cannot serve take one fixed-step RK4 march together;
+    (``Metric.geodesic_samples``) gives every ray where it has one:
+    straight lines on the flat metrics and in conformal time on the
+    time-only warp, which raises DomainError for a ray it cannot reach.
+    Every other metric's rays take one fixed-step RK4 march together;
     ``truncated`` is set on a returned segment if its march leaves the
     chart early.  Returns one GeodesicSegment per ray.
     """
@@ -606,28 +606,26 @@ def integrate_geodesics(metric, x0s, v0s, s_max, h, s_min=0.0):
     try:
         samples = metric.geodesic_samples(x0s, v0s, grids)
     except CapabilityError:
-        samples = [None] * n_rays
-    segments = [None if sample is None else GeodesicSegment(metric, s, *sample)
-                for s, sample in zip(grids, samples)]
-    rest = [r for r, sample in enumerate(samples) if sample is None]
-    if not rest:
-        return segments
-    # one march of the rest: the backward rays of negative s_min, then the forward rays
-    back = [r for r in rest if n_back[r]]
-    fwd = [r for r in rest if n_fwd[r]]
+        pass
+    else:
+        return [GeodesicSegment(metric, s, *sample) for s, sample in zip(grids, samples)]
+    # one march of every ray: the backward rays of negative s_min, then the forward rays
+    back = [r for r in range(n_rays) if n_back[r]]
+    fwd = [r for r in range(n_rays) if n_fwd[r]]
     marched = _rk4_march(metric, x0s[back + fwd], v0s[back + fwd],
                          [lows[r] for r in back] + [highs[r] for r in fwd],
                          [n_back[r] for r in back] + [n_fwd[r] for r in fwd])
     backward = dict(zip(back, marched[: len(back)]))
     forward = dict(zip(fwd, marched[len(back):]))
-    for r in rest:
+    segments = []
+    for r in range(n_rays):
         xs, vs, tr = forward.get(r, (x0s[r:r + 1], v0s[r:r + 1], False))
         xb, vb, trb = backward.get(r, (xs[:1], vs[:1], False))
         # the backward march reversed, without its copy of the start point
         xs, vs = np.concatenate([xb[:0:-1], xs]), np.concatenate([vb[:0:-1], vs])
         start = n_back[r] - (len(xb) - 1)
-        segments[r] = GeodesicSegment(metric, grids[r][start:start + len(xs)], xs, vs,
-                                      truncated=tr or trb)
+        segments.append(GeodesicSegment(metric, grids[r][start:start + len(xs)], xs, vs,
+                                        truncated=tr or trb))
     return segments
 
 

@@ -207,7 +207,7 @@ class GaugeReconstruction:
         }
 
 
-def _admissible_out_legs(metric, observation, y, k, cache):
+def admissible_out_legs(metric, observation, y, k, cache):
     """Up to k admissible (w, s'') pairs at y, in deterministic direction order.
 
     Directions are aimed at k sampled targets inside the observation
@@ -269,7 +269,7 @@ def reconstruct_gauge(metric, oracle_a, oracle_b, grid, observation, k_direction
     unresolved = np.zeros(len(grid), dtype=bool)
     modes = []
     for i, y in enumerate(grid):
-        legs = _admissible_out_legs(metric, observation, y, k_directions, cache)
+        legs = admissible_out_legs(metric, observation, y, k_directions, cache)
         point_mode = "honest" if observation.contains(y) else "synthetic"
         cands = []
         for w, s_out in legs:

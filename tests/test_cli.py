@@ -390,6 +390,16 @@ def test_cli_contract_sweep(tmp_path, capsys, command, metric, n):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_vanishing_warp_stops_where_conformal_time_ends(tmp_path, capsys):
+    # the interaction sweep reaches past t = 4pi/3, where beta = 0.5 + cos(t/2)
+    # vanishes: conformal time names that, not an RK4 stage outside the chart
+    extra = dict(SWEEP_SIZES, metric=SWEEP_METRICS["vanishing-warp"])
+    code, _ = run(tmp_path, "interaction", extra=extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "between 0 and t" in err and "at this point" not in err
+
+
 # every field the schema declares: (key,) at the top level, (block, key) inside a block
 SCHEMA_FIELDS = ([(key,) for key, spec in _schema()["properties"].items()
                   if spec.get("type") != "object"]
@@ -520,7 +530,7 @@ def test_experiments_march_each_ray_once(tmp_path, monkeypatch, command):
     # fixture's ray and its reverse included; a broken query's validated
     # legs are the legs transported, for S^A and S^(A <| phi^-1) alike.
     # A ray counts once on the path that serves it: a closed-form sample set
-    # or one RK4 march of a direction
+    # or one RK4 march of a direction (which the time-only warp never takes)
     import lorentz_gauge.geometry as geo
     import lorentz_gauge.transport as tr
 
@@ -531,7 +541,7 @@ def test_experiments_march_each_ray_once(tmp_path, monkeypatch, command):
     def closed_form(metric, x0s, v0s, s):
         counts[0] += 1
         served = samples(metric, x0s, v0s, s)
-        counts[1] += sum(sample is not None for sample in served)
+        counts[1] += len(served)
         return served
 
     def march(metric, x0, v0, s_stop, n_steps):

@@ -229,20 +229,12 @@ def test_gauged_connection_matches_solve_formula(rng, n):
     assert np.max(np.abs(b.components(xs) - comps)) < 1e-12
 
 
-def test_gauged_pairing_evaluates_the_gauge_only_where_it_is_not_the_identity(monkeypatch):
-    # one wave per field: every product with a field's table has a single term, so
-    # a stack is evaluated with the bits of its points
-    def one_wave(amp, freq, phase, coords):
-        return MatrixExpansion(DIM, N, [(ScalarExpansion(DIM, waves=[(amp, freq, phase)]),
-                                         from_coords(np.array(coords)))])
-
-    a = ConnectionField([one_wave(0.7, [0.5, 1.0, -0.5], 0.3, [0.2, -0.6, 0.4, 0.5]),
-                         MatrixExpansion(DIM, N, []), MatrixExpansion(DIM, N, [])])
-    phi = GaugeField(one_wave(0.9, [0.0, -0.5, 1.0], 1.1, [-0.3, 0.8, 0.1, -0.7]),
-                     RadialCutoff(DIM, 1.0, width=1.0))
-    b = gauge_act(a, phi)
-    # spatial radii: inside the cutoff, 1 + 1e-4 where exp(-1/u) underflows to chi = 0,
-    # the ramp, and chi = 1
+def _pairing_across_the_cutoff(monkeypatch, phi, b):
+    """b's pairing at points whose spatial radii lie inside the cutoff of radius 1,
+    at 1 + 1e-4 where exp(-1/u) underflows to chi = 0, on the ramp and where chi = 1;
+    checks that phi's generator is evaluated at the points where chi != 0 only, and
+    that the others keep the bits of b's base pairing. Returns the points and
+    velocities and b's pairing there."""
     radii = np.array([0.0, 0.5, 2.5, 1.0 + 1e-4, 1.3, 0.99, 1.7, 3.0])
     angles = np.linspace(0.0, 5.0, len(radii))
     xs = np.column_stack([np.linspace(0.5, 4.0, len(radii)), radii * np.cos(angles),
@@ -259,8 +251,41 @@ def test_gauged_pairing_evaluates_the_gauge_only_where_it_is_not_the_identity(mo
 
     monkeypatch.setattr(phi.generator, "coords", recording)
     stack = b.pairing_coords(xs, vs)
+    monkeypatch.undo()
     assert np.all(phi.cutoff.value(np.concatenate(seen)) != 0)
     assert sum(len(x) for x in seen) == np.count_nonzero(~dead)
+    assert stack[dead].tobytes() == b.base.pairing_coords(xs, vs)[dead].tobytes()
+    return xs, vs, stack
+
+
+def test_gauged_pairing_evaluates_the_gauge_only_where_it_is_not_the_identity(monkeypatch):
+    # one wave per field: every product with a field's table has a single term, so
+    # a stack is evaluated with the bits of its points
+    def one_wave(amp, freq, phase, coords):
+        return MatrixExpansion(DIM, N, [(ScalarExpansion(DIM, waves=[(amp, freq, phase)]),
+                                         from_coords(np.array(coords)))])
+
+    a = ConnectionField([one_wave(0.7, [0.5, 1.0, -0.5], 0.3, [0.2, -0.6, 0.4, 0.5]),
+                         MatrixExpansion(DIM, N, []), MatrixExpansion(DIM, N, [])])
+    phi = GaugeField(one_wave(0.9, [0.0, -0.5, 1.0], 1.1, [-0.3, 0.8, 0.1, -0.7]),
+                     RadialCutoff(DIM, 1.0, width=1.0))
+    b = gauge_act(a, phi)
+    xs, vs, stack = _pairing_across_the_cutoff(monkeypatch, phi, b)
     points = np.array([b.pairing_coords(x, v) for x, v in zip(xs, vs)])
     assert stack.tobytes() == points.tobytes()
-    assert stack[dead].tobytes() == a.pairing_coords(xs, vs)[dead].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_gauged_pairing_of_any_n_evaluates_the_gauge_only_where_it_is_not_the_identity(
+        rng, monkeypatch, n):
+    # as for n = 2, the gauge is evaluated only where it is not the identity, and
+    # there each point has the per-node formula phi^H (d phi[v] + <A, v> phi)
+    obs = ObservationSet(Minkowski(DIM), T=6.0, radius=1.0)
+    a = random_connection(DIM, n, rng)
+    phi = random_gauge(DIM, n, rng, observation=obs)
+    b = gauge_act(a, phi)
+    xs, vs, stack = _pairing_across_the_cutoff(monkeypatch, phi, b)
+    for x, v, got in zip(xs, vs, from_coords(stack)):
+        u = phi.value(x)
+        dphi_v = np.einsum("i,ijk->jk", v, phi.differential(x))
+        assert np.max(np.abs(got - adjoint(u) @ (dphi_v + a.pairing(x, v) @ u))) < 1e-12

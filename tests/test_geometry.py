@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from lorentz_gauge import geometry
 from lorentz_gauge.errors import CapabilityError, DomainError, GeometryError
 from lorentz_gauge.expansions import ScalarExpansion
 from lorentz_gauge.gauge import random_connection
@@ -18,6 +19,7 @@ from lorentz_gauge.geometry import (
     earliest_obs_time,
     integrate_geodesic,
     integrate_geodesics,
+    metric_from_json,
     null_cut_time,
     null_vector,
     time_separation,
@@ -377,34 +379,101 @@ def test_integrate_geodesics_matches_ray_loop(metric, alone):
     assert not any(seg.truncated for seg in segments)
 
 
-def test_closed_form_leaves_rays_past_a_vanishing_warp_to_rk4():
+def _no_march(*args):
+    raise AssertionError("RK4 marched a ray")
+
+
+def test_closed_form_raises_past_a_vanishing_warp_where_rk4_truncates(monkeypatch):
     # beta = 0.5 + cos(t/2) (the CLI's vanishing warp) vanishes at t = 4pi/3
-    # and 8pi/3, and conformal time cannot reach past the first zero: the ray
-    # that crosses it (RK4 truncates it at t = 4.1879) and the ray that starts
-    # beyond the second are marched as the RK4 loop marches them, and the
-    # rays between keep the closed-form bits they have alone
+    # and 8pi/3, and conformal time cannot reach past the first zero. Declared
+    # time-only, the rays between keep the closed-form bits they have alone,
+    # and a stack holding the ray that crosses the zero or the ray that starts
+    # beyond the second raises DomainError, with no RK4 march
     beta = ScalarExpansion(3, constant=0.5, waves=[(1.0, [0.5, 0.0, 0.0], 0.0)])
     metric = WarpedProduct(3, beta, beta_time_only=True)
-    x0s = np.array([[1.0, 0.2, 0.1], [3.25, 0.1, 0.0], [2.0, -0.4, 0.3], [10.0, 0.1, -0.2]])
-    v0s = np.array([[1.0, 0.6, 0.8], [1.6, 0.5, 0.2], [-1.0, 0.8, -0.6], [1.0, 0.0, 1.0]])
-    s_max, h, s_min = [1.0, 2.0, 0.5, 1.0], [1e-2, 0.2, 2e-2, 1e-2], [-0.5, 0.0, -0.4, -0.3]
-    segments = integrate_geodesics(metric, x0s, v0s, s_max, h, s_min=s_min)
-    rays = zip(x0s, v0s, s_max, h, s_min)
-    for seg, ray, alone in zip(segments, rays, [_segment_alone, _segment_by_rays] * 2):
-        s, xs, vs, truncated = alone(metric, *ray)
-        assert np.array_equal(seg.s, s) and seg.truncated == truncated
-        assert np.array_equal(seg.x, xs) and np.array_equal(seg.v, vs)
-    assert [seg.truncated for seg in segments] == [False, True, False, False]
+    x0s = np.array([[1.0, 0.2, 0.1], [3.25, 0.1, 0.0], [2.0, -0.4, 0.3], [10.0, 0.1, -0.2],
+                    [3.5, 0.0, 0.0]])
+    v0s = np.array([[1.0, 0.6, 0.8], [1.6, 0.5, 0.2], [-1.0, 0.8, -0.6], [1.0, 0.0, 1.0],
+                    [1.0, 0.5, 0.2]])
+    s_max, h, s_min = ([1.0, 2.0, 0.5, 1.0, 1.0], [1e-2, 0.2, 2e-2, 1e-2, 1e-2],
+                       [-0.5, 0.0, -0.4, -0.3, 0.0])
+    served = [0, 2]
+    _assert_segments_match_rays(metric, x0s[served], v0s[served], [s_max[r] for r in served],
+                                [h[r] for r in served], [s_min[r] for r in served],
+                                alone=_segment_alone)
+    monkeypatch.setattr(geometry, "_rk4_march", _no_march)
+    for unreachable in (1, 3):
+        stack = [0, unreachable, 2]
+        with pytest.raises(DomainError, match="between 0 and t"):
+            integrate_geodesics(metric, x0s[stack], v0s[stack], [s_max[r] for r in stack],
+                                [h[r] for r in stack], s_min=[s_min[r] for r in stack])
+    monkeypatch.undo()
+    # the same beta undeclared: RK4 marches every ray as the RK4 loop does. The
+    # crossing ray stops at t = 4.1879, and the last ray, whose RK4 stage lands
+    # where beta < 0, stops at its last good step, t = 4.1627 after 45 steps;
+    # the other rays of the stack keep their bits
+    metric = WarpedProduct(3, beta)
+    segments = _assert_segments_match_rays(metric, x0s, v0s, s_max, h, s_min)
+    assert [seg.truncated for seg in segments] == [False, True, False, False, True]
     assert segments[1].x[-1, 0] == pytest.approx(4.1879, abs=1e-4)
-    served = metric.geodesic_samples(x0s[[0, 2]], v0s[[0, 2]], [segments[0].s, segments[2].s])
-    for seg, (xs, vs) in zip(segments[::2], served):
-        assert np.array_equal(seg.x, xs) and np.array_equal(seg.v, vs)
-    # a crossing ray whose RK4 stage lands where beta < 0 stops its stack, as alone
-    with pytest.raises(DomainError):
-        _rk4_ray(metric, np.array([3.5, 0.0, 0.0]), np.array([1.0, 0.5, 0.2]), 1.0, 1e-2)
-    with pytest.raises(DomainError):
-        integrate_geodesics(metric, np.array([x0s[0], [3.5, 0.0, 0.0]]),
-                            np.array([v0s[0], [1.0, 0.5, 0.2]]), 1.0, 1e-2)
+    assert len(segments[4].s) == 46
+    assert segments[4].x[-1, 0] == pytest.approx(4.1627, abs=1e-4)
+
+
+def _field(constant, amp, freq):
+    return {"dim": 3, "constant": constant, "waves": [{"amp": amp, "freq": freq, "phase": 0.0}]}
+
+
+# each metric kind that metric_from_json builds, with the rays of a stack of three
+# that the closed form serves and the RK4 directions marched (None: the stack raises)
+STACK_PATHS = {
+    "minkowski": ({"kind": "minkowski", "dim": 3}, (3, 0)),
+    "cylinder": ({"kind": "cylinder"}, (3, 0)),
+    "time-only-warp": ({"kind": "warped", "dim": 3, "beta_time_only": True,
+                        "beta": _field(1.0, 0.3, [0.5, 0.0, 0.0])}, (3, 0)),
+    "warp": ({"kind": "warped", "dim": 3, "beta": _field(1.0, 0.3, [0.5, 0.2, 0.0])}, (0, 5)),
+    "g0-warp": ({"kind": "warped", "dim": 3, "beta": _field(1.0, 0.3, [0.5, 0.0, 0.0]),
+                 "g0_diag": [_field(1.0, 0.2, [0.3, 0.0, 0.7]),
+                             _field(1.5, 0.4, [0.0, 0.6, 0.2])]}, (0, 5)),
+    "vanishing-warp": ({"kind": "warped", "dim": 3, "beta_time_only": True,
+                        "beta": _field(0.5, 1.0, [0.5, 0.0, 0.0])}, None),
+}
+
+
+@pytest.mark.parametrize("kind", list(STACK_PATHS))
+def test_a_stack_takes_one_geodesic_path(monkeypatch, kind):
+    # a stack with backward and forward ranges is served entirely by the closed
+    # form or marched entirely by RK4, never split between them; on the vanishing
+    # warp beta = 0.5 + cos(t/2) the last ray crosses t = 4pi/3, which conformal
+    # time cannot reach, and the stack raises with no RK4 march
+    block, expected = STACK_PATHS[kind]
+    metric = metric_from_json(block)
+    counts = [0, 0]
+    samples, march = type(metric).geodesic_samples, geometry._rk4_march
+
+    def serving(self, x0s, v0s, s):
+        served = samples(self, x0s, v0s, s)
+        counts[0] += len(served)
+        return served
+
+    def marching(metric, x0, v0, s_stop, n_steps):
+        counts[1] += len(n_steps)
+        return march(metric, x0, v0, s_stop, n_steps)
+
+    monkeypatch.setattr(type(metric), "geodesic_samples", serving)
+    monkeypatch.setattr(geometry, "_rk4_march", marching)
+    x0s = np.array([[1.0, 0.2, 0.1], [2.0, -0.4, 0.3], [3.25, 0.1, 0.0]])[:, :metric.dim]
+    v0s = np.array([[1.0, 0.6, 0.8], [-1.0, 0.8, -0.6], [1.6, 0.5, 0.2]])[:, :metric.dim]
+    args = (metric, x0s, v0s, [1.0, 0.5, 2.0], [1e-2, 2e-2, 0.2])
+    if expected is None:
+        with pytest.raises(DomainError, match="between 0 and t"):
+            integrate_geodesics(*args, s_min=[-0.5, -0.4, 0.0])
+        assert counts == [0, 0]
+    else:
+        segments = integrate_geodesics(*args, s_min=[-0.5, -0.4, 0.0])
+        assert tuple(counts) == expected
+        assert [(seg.s_min, seg.s_max) for seg in segments] == [(-0.5, 1.0), (-0.4, 0.5),
+                                                                 (0.0, 2.0)]
 
 
 def test_integrate_geodesics_truncates_one_ray_at_the_chart():

@@ -1,7 +1,8 @@
-"""Every name a module under src/ imports is used by that module,
-importing the CLI loads no scipy, and the core layers import nothing
-from the three-wave layer or the CLI, and every parameter of a function
-outside a class is read, but for a listed few.
+"""Every name a module under src/ imports is used by that module and
+none is private to another module of the package, importing the CLI
+loads no scipy, and the core layers import nothing from the three-wave
+layer or the CLI, and every parameter of a function outside a class is
+read, but for a listed few.
 
 No linter is installed, so this parses each module with ast. A name
 counts as used when it is read anywhere in the module, including as the
@@ -174,7 +175,7 @@ def test_finds_private_package_names():
     assert set(_private_package_names(ast.parse(src))) == {"_cf4_product", "_march", "_x"}
 
 
-def test_symcalc_imports_no_private_name():
-    # the three-wave layer is built on the public names of the layers below it
-    tree = ast.parse((SRC / "lorentz_gauge" / "symcalc.py").read_text())
-    assert list(_private_package_names(tree)) == []
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_imports_no_private_name(path):
+    # every module is built on the public names of the others
+    assert list(_private_package_names(ast.parse(path.read_text()))) == []

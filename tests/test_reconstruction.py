@@ -379,7 +379,7 @@ def test_honest_incoming_leg_inside_when_its_endpoint_is(name):
     for y in diamond_grid(metric, obs, per_axis=5):
         if not obs.contains(y):
             continue
-        for w, s_out in rec_mod._admissible_out_legs(metric, obs, y, 8, cache):
+        for w, s_out in rec_mod.admissible_out_legs(metric, obs, y, 8, cache):
             q = rec_mod._honest_incoming_query(metric, obs, y, w, s_out)
             seg_in, _ = validate_query(metric, q, obs, cache=cache)
             assert obs.contains(seg_in.x).all()
