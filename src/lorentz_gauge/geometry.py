@@ -313,11 +313,15 @@ class WarpedProduct(Metric):
                 "function and flat spatial factor"
             )
 
-    def _time_beta(self, t):
-        """beta at the points (t, 0, ..., 0) over the leading axes of t."""
+    def _on_axis(self, t):
+        """The points (t, 0, ..., 0) over the leading axes of t."""
         p = np.zeros(np.shape(t) + (self.dim,))
         p[..., 0] = t
-        beta = self.beta.value(p)
+        return p
+
+    def _time_beta(self, t):
+        """beta at the points (t, 0, ..., 0) over the leading axes of t."""
+        beta = self.beta.value(self._on_axis(t))
         if not (beta > 0).all():
             raise DomainError("warping function is not positive between 0 and t")
         return beta
@@ -339,17 +343,49 @@ class WarpedProduct(Metric):
         if not np.isfinite(t).all():
             raise DomainError("conformal time needs a finite t")
         k = np.trunc(t / CONFORMAL_CELL).astype(int)
-        for sign, n in ((1, k.max(initial=0)), (-1, -k.min(initial=0))):
-            while len(self._conformal_edges[sign]) <= n:
-                # the running sum goes on from the last entry: an entry is the same in any width
-                table = self._conformal_edges[sign]
-                edges = sign * CONFORMAL_CELL * np.arange(len(table) - 1, min(n, 2 * len(table)) + 1.0)
-                cells = self._sqrt_beta_rule(edges[:-1], edges[1:])
-                self._conformal_edges[sign] = np.concatenate(
-                    [table[:-1], np.cumsum(np.concatenate([table[-1:], cells]))])
+        self._widen(1, k.max(initial=0))
+        self._widen(-1, -k.min(initial=0))
         up, down = self._conformal_edges[1], self._conformal_edges[-1]
         at_edge = np.where(k >= 0, up[np.maximum(k, 0)], down[np.maximum(-k, 0)])
         return at_edge + self._sqrt_beta_rule(k * CONFORMAL_CELL, t)
+
+    def _widen(self, sign, n):
+        """Extend the table on side sign of 0 to cell edge n, at most doubling
+        it at a time; DomainError where beta vanishes in a new cell."""
+        while len(self._conformal_edges[sign]) <= n:
+            # the running sum goes on from the last entry: an entry is the same in any width
+            table = self._conformal_edges[sign]
+            edges = sign * CONFORMAL_CELL * np.arange(len(table) - 1, min(n, 2 * len(table)) + 1.0)
+            cells = self._sqrt_beta_rule(edges[:-1], edges[1:])
+            self._conformal_edges[sign] = np.concatenate(
+                [table[:-1], np.cumsum(np.concatenate([table[-1:], cells]))])
+
+    def _slab_end(self, sign, goal, t):
+        """A time on side sign of 0, beyond t, where sign * t~ exceeds goal:
+        the table's end once it reaches that far, else the last point before
+        the zero of beta that ends the slab; DomainError if conformal time
+        ends there at or before goal, so that no time reaches it.
+        """
+        edges, single = self._conformal_edges, False
+        n = max(math.floor(sign * t / CONFORMAL_CELL) + 1, 0)
+        while len(edges[sign]) <= n or sign * edges[sign][-1] <= goal:
+            try:  # by doublings, then one cell at a time up to the cell of the zero
+                self._widen(sign, len(edges[sign]) if single else max(n, 2 * len(edges[sign])))
+            except DomainError:
+                if single:
+                    break
+                single = True
+        else:
+            return sign * CONFORMAL_CELL * (len(edges[sign]) - 1)
+        a, b = sign * CONFORMAL_CELL * np.arange(len(edges[sign]) - 1, len(edges[sign]) + 1.0)
+        nodes = a + 0.5 * (b - a) * (CONFORMAL_NODES + 1.0)
+        first = np.argmin(self.in_chart(self._on_axis(nodes)))
+        inside, outside = (a if first == 0 else nodes[first - 1]), nodes[first]
+        while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+            inside, outside = (mid, outside) if self.in_chart(self._on_axis(mid)) else (inside, mid)
+        if sign * (edges[sign][-1] + self._sqrt_beta_rule(a, inside)) <= goal:
+            raise DomainError("warping function is not positive between 0 and t")
+        return inside
 
     def minkowski_delta(self, x, y):
         """y - x with conformal time in place of t."""
@@ -363,24 +399,32 @@ class WarpedProduct(Metric):
         self._require_conformally_flat("null cut time")
         return math.inf
 
-    def _conformal_inverse(self, target, t):
+    def _conformal_inverse(self, target, t, lo, hi):
         """The t with conformal_time(t) = target over a 1-D array, by Newton's
-        method from the guess t.  Each entry stops on its own, once its step
-        is at most 1e-15 max(1, |t|) or its residual at most 4 eps max(1,
-        |target|) (where sqrt(beta) is small the rounding of conformal time
-        keeps the step above the first bound); GeometryError if an entry has
-        not stopped after 50 steps.
+        method from the guess t inside the bracket (lo, hi) of the slab.  The
+        bracket closes on each entry's root as its residuals change sign, and
+        a step that would leave it bisects it instead.  Each entry stops on
+        its own, once its step is at most 1e-15 max(1, |t|) or its residual
+        at most 4 eps max(1, |target|) (where sqrt(beta) is small the
+        rounding of conformal time keeps the step above the first bound);
+        GeometryError if an entry has not stopped after 50 steps.
         """
         t = np.array(t, dtype=float)
         live = np.arange(t.size)
+        lo, hi = np.full(t.size, lo), np.full(t.size, hi)  # the live entries' brackets
         for _ in range(50):
             tl, goal = t[live], target[live]
             r = self.conformal_time(tl) - goal
             step = r / np.sqrt(self._time_beta(tl))
+            # tested before tl closes the bracket: a step heads for the root, away from tl
+            out = (tl - step <= lo) | (tl - step >= hi)
+            lo, hi = np.where(r < 0, tl, lo), np.where(r > 0, tl, hi)
+            if out.any():
+                step = np.where(out, tl - 0.5 * (lo + hi), step)
             t[live] = tl - step
             done = ((np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(t[live])))
                     | (np.abs(r) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(goal))))
-            live = live[~done]
+            live, lo, hi = live[~done], lo[~done], hi[~done]
             if not live.size:
                 return t
         raise GeometryError("Newton's method on conformal time did not converge")
@@ -389,9 +433,12 @@ class WarpedProduct(Metric):
         """Straight lines in conformal time: x(s) = x0 + v_x s, the t(s) with
         t~(t(s)) = t~(t0) + sqrt(beta(t0)) v^0 s by Newton's method on
         conformal_time, and v^0(s) = v^0 sqrt(beta(t0)) / sqrt(beta(t(s))).
-        A ray with a time that conformal time cannot reach (beta vanishes
-        between 0 and it) raises DomainError for the stack, as a causal query
-        there does: the metric is a spacetime only on the slab where beta > 0.
+        A ray whose conformal-time target lies beyond the conformal time of
+        the zero of beta nearest 0 leaves the slab and raises DomainError
+        for the stack, as a causal query there does: the metric is a
+        spacetime only on the slab where beta > 0.  Newton's method stays
+        between the slab's ends, from the ray's start where its guess lies
+        outside them.
         """
         self._require_conformally_flat("closed-form geodesics")
         if not len(s):
@@ -405,7 +452,11 @@ class WarpedProduct(Metric):
         # Newton from the coordinate-time line t0 + v^0 s
         target = (np.repeat(self.conformal_time(t0s), counts)
                   + np.repeat(root0 * v0s[:, 0], counts) * sa)
-        xs[:, 0] = self._conformal_inverse(target, xs[:, 0])
+        guess, starts = xs[:, 0], np.repeat(t0s, counts)
+        lo = self._slab_end(-1, -target.min(), min(guess.min(), t0s.min()))
+        hi = self._slab_end(1, target.max(), max(guess.max(), t0s.max()))
+        guess = np.where((lo < guess) & (guess < hi), guess, starts)
+        xs[:, 0] = self._conformal_inverse(target, guess, lo, hi)
         vs[:, 0] *= np.repeat(root0, counts) / np.sqrt(self._time_beta(xs[:, 0]))
         ends = np.cumsum(counts)[:-1]
         return list(zip(np.split(xs, ends), np.split(vs, ends)))

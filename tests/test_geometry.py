@@ -379,41 +379,37 @@ def test_integrate_geodesics_matches_ray_loop(metric, alone):
     assert not any(seg.truncated for seg in segments)
 
 
-def _no_march(*args):
-    raise AssertionError("RK4 marched a ray")
-
-
-def test_closed_form_raises_past_a_vanishing_warp_where_rk4_truncates(monkeypatch):
-    # beta = 0.5 + cos(t/2) (the CLI's vanishing warp) vanishes at t = 4pi/3
-    # and 8pi/3, and conformal time cannot reach past the first zero. Declared
-    # time-only, the rays between keep the closed-form bits they have alone,
-    # and a stack holding the ray that crosses the zero or the ray that starts
-    # beyond the second raises DomainError, with no RK4 march
+def test_closed_form_serves_the_slab_of_a_vanishing_warp_where_rk4_truncates():
+    # beta = 0.5 + cos(t/2) (the CLI's vanishing warp) vanishes at t = +-4pi/3
+    # and 8pi/3, and conformal time cannot reach past the first zero (the
+    # stack that holds a ray crossing it raises: STACK_PATHS). Declared
+    # time-only, the rays inside keep the closed-form bits they have alone,
+    # the last one too: from t0 = -4, where beta = 0.08, its coordinate-time
+    # guess t0 + v^0 s reaches t = 5 beyond the zero, while its true t(9) is
+    # -0.958; RK4 on the same beta undeclared agrees within its own error
     beta = ScalarExpansion(3, constant=0.5, waves=[(1.0, [0.5, 0.0, 0.0], 0.0)])
     metric = WarpedProduct(3, beta, beta_time_only=True)
     x0s = np.array([[1.0, 0.2, 0.1], [3.25, 0.1, 0.0], [2.0, -0.4, 0.3], [10.0, 0.1, -0.2],
-                    [3.5, 0.0, 0.0]])
+                    [3.5, 0.0, 0.0], [-4.0, 0.0, 0.0]])
     v0s = np.array([[1.0, 0.6, 0.8], [1.6, 0.5, 0.2], [-1.0, 0.8, -0.6], [1.0, 0.0, 1.0],
-                    [1.0, 0.5, 0.2]])
-    s_max, h, s_min = ([1.0, 2.0, 0.5, 1.0, 1.0], [1e-2, 0.2, 2e-2, 1e-2, 1e-2],
-                       [-0.5, 0.0, -0.4, -0.3, 0.0])
-    served = [0, 2]
-    _assert_segments_match_rays(metric, x0s[served], v0s[served], [s_max[r] for r in served],
-                                [h[r] for r in served], [s_min[r] for r in served],
-                                alone=_segment_alone)
-    monkeypatch.setattr(geometry, "_rk4_march", _no_march)
-    for unreachable in (1, 3):
-        stack = [0, unreachable, 2]
-        with pytest.raises(DomainError, match="between 0 and t"):
-            integrate_geodesics(metric, x0s[stack], v0s[stack], [s_max[r] for r in stack],
-                                [h[r] for r in stack], s_min=[s_min[r] for r in stack])
-    monkeypatch.undo()
+                    [1.0, 0.5, 0.2], [1.0, 0.3, 0.0]])
+    s_max, h, s_min = ([1.0, 2.0, 0.5, 1.0, 1.0, 9.0], [1e-2, 0.2, 2e-2, 1e-2, 1e-2, 4e-3],
+                       [-0.5, 0.0, -0.4, -0.3, 0.0, 0.0])
+    served = [0, 2, 5]
+    closed = _assert_segments_match_rays(
+        metric, x0s[served], v0s[served], [s_max[r] for r in served], [h[r] for r in served],
+        [s_min[r] for r in served], alone=_segment_alone)[-1]
+    assert closed.x[-1, 0] == pytest.approx(-0.958, abs=1e-3)
+    rk4 = integrate_geodesic(WarpedProduct(3, beta), x0s[5], v0s[5], 9.0, h=4e-3)
+    assert np.array_equal(closed.s, rk4.s) and not rk4.truncated
+    assert np.max(np.abs(closed.x - rk4.x)) < 1e-8
+    assert np.max(np.abs(closed.v - rk4.v)) < 1e-8
     # the same beta undeclared: RK4 marches every ray as the RK4 loop does. The
-    # crossing ray stops at t = 4.1879, and the last ray, whose RK4 stage lands
+    # crossing ray stops at t = 4.1879, and the ray from (3.5, 0, 0), whose RK4 stage lands
     # where beta < 0, stops at its last good step, t = 4.1627 after 45 steps;
     # the other rays of the stack keep their bits
     metric = WarpedProduct(3, beta)
-    segments = _assert_segments_match_rays(metric, x0s, v0s, s_max, h, s_min)
+    segments = _assert_segments_match_rays(metric, x0s[:5], v0s[:5], s_max[:5], h[:5], s_min[:5])
     assert [seg.truncated for seg in segments] == [False, True, False, False, True]
     assert segments[1].x[-1, 0] == pytest.approx(4.1879, abs=1e-4)
     assert len(segments[4].s) == 46
