@@ -5,9 +5,9 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .errors import DomainError
@@ -23,9 +23,84 @@ class ScenarioError(Exception):
         self.path = path
 
 
+@functools.cache
 def _schema():
     text = resources.files("lorentz_gauge").joinpath("scenario_schema.json").read_text()
     return json.loads(text)
+
+
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float)}
+
+
+def _is_type(value, name):
+    """JSON Schema's type rules: a bool is a boolean only, an integral float an integer."""
+    if isinstance(value, bool) or name == "boolean":
+        return isinstance(value, bool) and name == "boolean"
+    if name == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, _TYPES[name])
+
+
+# keyword -> (whether a value fails it, what the failure says); a bound applies to
+# numbers only and minItems to arrays only
+_FAILS = {
+    "type": (lambda v, t: not _is_type(v, t), "is not of type"),
+    "enum": (lambda v, e: v not in e, "is not one of"),
+    "const": (lambda v, c: v != c, "is not"),
+    "minimum": (lambda v, m: _is_type(v, "number") and v < m, "is less than"),
+    "maximum": (lambda v, m: _is_type(v, "number") and v > m, "is greater than"),
+    "exclusiveMinimum": (lambda v, m: _is_type(v, "number") and v <= m, "is not greater than"),
+    "exclusiveMaximum": (lambda v, m: _is_type(v, "number") and v >= m, "is not less than"),
+    "minItems": (lambda v, n: isinstance(v, list) and len(v) < n, "has fewer items than"),
+}
+
+
+def _errors(schema, value, path, root):
+    """(path, message) of each way value breaks schema, in schema order; path is
+    the tuple of keys and indices down to the offending value. A keyword that the
+    package's schema does not use raises ValueError."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path, f"{value!r} is not a finite number"
+    for key, arg in schema.items():
+        if key in ("$schema", "title", "$defs", "then"):
+            continue
+        if key == "$ref":
+            yield from _errors(root["$defs"][arg.removeprefix("#/$defs/")], value, path, root)
+        elif key == "if":
+            if next(_errors(arg, value, path, root), None) is None:
+                yield from _errors(schema.get("then", {}), value, path, root)
+        elif key in _FAILS:
+            fails, text = _FAILS[key]
+            if fails(value, arg):
+                yield path, f"{value!r} {text} {arg!r}"
+        elif key == "items":
+            for i, item in enumerate(value if isinstance(value, list) else []):
+                yield from _errors(arg, item, (*path, i), root)
+        elif key == "required":
+            for name in arg if isinstance(value, dict) else []:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in arg.items():
+                if isinstance(value, dict) and name in value:
+                    yield from _errors(sub, value[name], (*path, name), root)
+        elif key == "additionalProperties" and arg is False:
+            extra = [name for name in value if name not in schema.get("properties", {})] \
+                if isinstance(value, dict) else []
+            if extra:
+                yield path, f"additional properties are not allowed: {extra!r}"
+        else:
+            raise ValueError(f"unsupported schema keyword {key!r}: {arg!r}")
+
+
+def schema_error(schema, obj):
+    """The error reported for obj under schema, as (JSON path, message), or None:
+    the shallowest, and of those the first in schema order."""
+    error = min(_errors(schema, obj, (), schema), key=lambda e: len(e[0]), default=None)
+    if error is None:
+        return None
+    path, message = error
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path), message
 
 
 DEFAULT_SCENARIO = {
@@ -51,19 +126,11 @@ DEFAULT_SCENARIO = {
 }
 
 
-@functools.cache
-def _validator():
-    """A validator of the package's schema, built once."""
-    schema = _schema()
-    return jsonschema.validators.validator_for(schema)(schema)
-
-
 def validate_scenario(obj):
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(obj))
+    error = schema_error(_schema(), obj)
     if error is not None:
-        raise ScenarioError(error.message, path=error.json_path)
-    if obj.get("connection", {}).get("type", "random") == "random" and "seed" not in obj:
-        raise ScenarioError("seed is mandatory for randomized fixtures", path="$.seed")
+        path, message = error
+        raise ScenarioError(message, path=path)
     if obj["metric"]["kind"] == "warped":
         _check_warped(obj["metric"])
     if obj["metric"]["kind"] == "cylinder" and obj["metric"].get("dim", 2) != 2:

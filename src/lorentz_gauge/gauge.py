@@ -164,20 +164,26 @@ class RadialCutoff:
         return SmoothStep.value((np.linalg.norm(d, axis=-1) - self.r0) / self.width)
 
     def value_and_grad(self, x):
-        """chi(x) and its gradient from one radius and one smooth step, the gradient
-        where chi != 0 only: elsewhere S and S' vanish together."""
+        """chi(x) and its gradient from one radius, the smooth step where u > 0 and the
+        gradient where chi != 0 only: elsewhere S and S' vanish together."""
         x = np.asarray(x, dtype=float)
         d = x[..., 1:] - self.center
         r = np.linalg.norm(d, axis=-1)
         u = (r - self.r0) / self.width
+        chi, grad = np.zeros(r.shape), np.zeros(x.shape)
+        # the rows of the flattened points where u > 0, then those where exp(-1/u)
+        # does not underflow, so that chi != 0
+        live = np.flatnonzero(u > 0)
+        u = u.ravel()[live]
         a, b = SmoothStep.terms(u)
-        chi, grad = a / (a + b), np.zeros(x.shape)
-        # the rows of the flattened points where chi != 0, as indices unless that is all of them
-        live = np.flatnonzero(chi)
-        live = slice(None) if len(live) == chi.size else live
-        d, r = d.reshape(-1, d.shape[-1])[live], r.reshape(-1, 1)[live]
-        out = np.divide(d, r, out=np.zeros(d.shape), where=r > 1e-12)
-        out *= (SmoothStep.derivative(*(y.ravel()[live] for y in (u, a, b))) / self.width)[:, None]
+        chi.ravel()[live] = a / (a + b)
+        if not a.all():
+            keep = a != 0
+            live, u, a, b = live[keep], u[keep], a[keep], b[keep]
+        d, r = np.take(d.reshape(-1, d.shape[-1]), live, 0), np.take(r.ravel(), live)[:, None]
+        big = r > 1e-12
+        out = d / r if big.all() else np.divide(d, r, out=np.zeros(d.shape), where=big)
+        out *= (SmoothStep.derivative(u, a, b) / self.width)[:, None]
         grad.reshape(-1, x.shape[-1])[live, 1:] = out
         return chi, grad
 

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorentz_gauge import config
 from lorentz_gauge.cli import EXPERIMENTS, SEED_OFFSETS, main
-from lorentz_gauge.config import DEFAULT_SCENARIO, Fixture, _schema, load_scenario
+from lorentz_gauge.config import DEFAULT_SCENARIO, Fixture, _schema, load_scenario, schema_error
 from lorentz_gauge.transport import read_queries, run_batch, write_results
 
 LIGHT = {
@@ -346,7 +348,7 @@ def test_cylinder_block_without_dim_takes_no_default_dim(tmp_path):
 
 
 def test_scenario_schema_is_a_valid_schema():
-    # validate_scenario builds its validator once and does not re-check the schema
+    # validate_scenario interprets the schema without checking it against the meta-schema
     schema = _schema()
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
@@ -366,17 +368,26 @@ SWEEP_METRICS = {
                        "beta": {"dim": 3, "constant": 0.5,
                                 "waves": [{"amp": 1.0, "freq": [0.5, 0, 0], "phase": 0}]}},
 }
-# experiments that leave the metric's domain exit 2
-SWEEP_EXIT = {("broken", "vanishing-warp"): 2, ("reconstruct", "vanishing-warp"): 2,
+# the exit code of every experiment on every metric: 0 but where an experiment
+# asks for what its metric cannot do or leaves the metric's domain
+SWEEP_EXIT = {**{(command, metric): 0 for metric in SWEEP_METRICS for command in EXPERIMENTS},
+              # the interaction experiment needs two spatial dimensions
+              ("interaction", "cylinder"): 2,
+              # beta depends on x: neither null cut times nor time separations
+              ("broken", "warp"): 2, ("reconstruct", "warp"): 2, ("interaction", "warp"): 2,
+              ("broken", "vanishing-warp"): 2, ("reconstruct", "vanishing-warp"): 2,
               ("interaction", "vanishing-warp"): 2,
               # a malformed metric block stops every experiment before it starts
               **{(command, case): 2 for case in MALFORMED_WARPS for command in EXPERIMENTS}}
 # the reasons the vanishing warp's experiments stop: a broken-ray vertex and a
 # reconstruction point outside the chart, and an interaction ray past t = 4pi/3,
-# which conformal time cannot reach
+# which conformal time cannot reach; and what the other two cannot do
 SWEEP_REASON = {("broken", "vanishing-warp"): "warping function is not positive at this point",
                 ("reconstruct", "vanishing-warp"): "point lies outside the metric chart",
-                ("interaction", "vanishing-warp"): "not positive between 0 and t"}
+                ("interaction", "vanishing-warp"): "not positive between 0 and t",
+                ("interaction", "cylinder"): "needs at least two spatial dimensions",
+                **{(command, "warp"): "requires a time-only warping function"
+                   for command in ("broken", "reconstruct", "interaction")}}
 SWEEP_SIZES = {"geodesic": {"n_fixtures": 2}, "transport": {"n_fixtures": 2},
                "broken": {"n_queries": 3}}
 SWEEP = ([(command, metric, 2) for metric in SWEEP_METRICS for command in EXPERIMENTS]
@@ -392,7 +403,7 @@ def test_cli_contract_sweep(tmp_path, capsys, command, metric, n):
     extra = dict(SWEEP_SIZES, metric=SWEEP_METRICS[metric], connection={"n": n})
     code, _ = run(tmp_path, command, extra=extra)
     assert code in (0, 1, 2)
-    assert code == SWEEP_EXIT.get((command, metric), code)
+    assert code == SWEEP_EXIT[(command, metric)]
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert SWEEP_REASON.get((command, metric), "") in err
@@ -404,8 +415,29 @@ SCHEMA_FIELDS = ([(key,) for key, spec in _schema()["properties"].items()
                  + [(block, key) for block, spec in _schema()["properties"].items()
                     if spec.get("type") == "object" for key in spec["properties"]])
 UNKNOWN_KEY = "unknown-key"
+# values no number of a scenario may take; Python's json reads them as NaN and Infinity
+NOT_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 EDGE_VALUES = {"empty-array": [], "wrong-length": [0.1, 0.2, 0.3, 0.4], "zero": 0,
-               "negative": -1, "huge": 1e200, "wrong-type": "x", UNKNOWN_KEY: None}
+               "negative": -1, "huge": 1e200, "wrong-type": "x", UNKNOWN_KEY: None,
+               **NOT_FINITE}
+
+
+def json_path(field):
+    return "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in field)
+
+
+def with_edge_value(cfg, field, edge):
+    """A copy of cfg with the field at the key path field set to an edge value,
+    or with an unknown key beside it."""
+    cfg = json.loads(json.dumps(cfg))
+    block = cfg
+    for key in field[:-1]:
+        block = block.setdefault(key, {}) if isinstance(key, str) else block[key]
+    if edge == UNKNOWN_KEY:
+        block[f"{field[-1]}_unknown"] = 1
+    else:
+        block[field[-1]] = EDGE_VALUES[edge]
+    return cfg
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -413,13 +445,8 @@ EDGE_VALUES = {"empty-array": [], "wrong-length": [0.1, 0.2, 0.3, 0.4], "zero": 
        command=st.sampled_from(sorted(SWEEP_SIZES)))
 def test_edge_value_of_any_field_exits_by_contract(tmp_path_factory, field, edge, command):
     # one field set to an edge value (or an unknown key beside it) exits 0, 1 or 2,
-    # never by an exception
-    cfg = json.loads(json.dumps(dict(LIGHT, **SWEEP_SIZES)))
-    block = cfg if len(field) == 1 else cfg.setdefault(field[0], {})
-    if edge == UNKNOWN_KEY:
-        block[field[-1] + "_unknown"] = 1
-    else:
-        block[field[-1]] = EDGE_VALUES[edge]
+    # never by an exception; a number that is not finite exits 2 and names its field
+    cfg = with_edge_value(dict(LIGHT, **SWEEP_SIZES), field, edge)
     path = tmp_path_factory.mktemp("edge") / "scenario.json"
     path.write_text(json.dumps(cfg))
     err = io.StringIO()
@@ -427,6 +454,87 @@ def test_edge_value_of_any_field_exits_by_contract(tmp_path_factory, field, edge
         code = main([command, "--config", str(path), "--out", str(path.parent / "out")])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if edge in NOT_FINITE:
+        assert code == 2
+        assert f"scenario error at {json_path(field)}:" in err.getvalue()
+
+
+def unvalidated_scenario(tmp_path, monkeypatch, extra):
+    """The scenario the CLI reads for LIGHT updated by extra, merged over the
+    defaults as load_scenario merges it, before any check."""
+    monkeypatch.setattr(config, "validate_scenario", lambda obj: obj)
+    return load_scenario(write_config(tmp_path, extra))
+
+
+# the fields of the time-only warp's expansion, each at its key path
+WARP = dict(SWEEP_SIZES, metric=SWEEP_METRICS["time-only-warp"])
+WARP_FIELDS = [("metric", "beta_time_only"), *(("metric", "beta", key) for key in
+                                               ("dim", "constant", "waves")),
+               *(("metric", "beta", "waves", 0, key) for key in ("amp", "freq", "phase")),
+               ("metric", "beta", "waves", 0, "freq", 1)]
+# the updates of LIGHT whose scenarios the package's validator and jsonschema both
+# judge, by the case that makes them
+ORACLE_EXTRAS = {
+    "sweep": [dict(SWEEP_SIZES, metric=SWEEP_METRICS[metric], connection={"n": n})
+              for _, metric, n in SWEEP],
+    "bad-field": [extra for _, extra, _ in BAD_FIELDS.values()],
+    "malformed-warp": [{"metric": block} for block, _ in MALFORMED_WARPS.values()],
+    # NaN and infinities are left out: jsonschema accepts them, since every
+    # comparison with NaN is false and an infinity is a number
+    "edge-value": [with_edge_value(cfg, field, edge)
+                   for cfg, fields in ((dict(LIGHT, **SWEEP_SIZES), SCHEMA_FIELDS),
+                                       (dict(LIGHT, **WARP), WARP_FIELDS))
+                   for field in fields for edge in EDGE_VALUES
+                   if edge not in NOT_FINITE
+                   and not (edge == UNKNOWN_KEY and isinstance(field[-1], int))],
+}
+
+
+@pytest.mark.parametrize("case", ["default", *ORACLE_EXTRAS])
+def test_validator_reports_what_jsonschema_reports(tmp_path, monkeypatch, case):
+    # the same verdict as jsonschema on every scenario of the case, and the same
+    # JSON path as its best_match wherever one error is the shallowest; where
+    # several are (an array with a wrong entry in each place), best_match's
+    # choice among them is a heuristic of its release
+    schema = _schema()
+    oracle = jsonschema.validators.validator_for(schema)(schema)
+    scenarios = [DEFAULT_SCENARIO] if case == "default" else [
+        unvalidated_scenario(tmp_path, monkeypatch, extra) for extra in ORACLE_EXTRAS[case]]
+    for scenario in scenarios:
+        expected = list(oracle.iter_errors(scenario))
+        error = schema_error(schema, scenario)
+        assert (error is None) == (not expected), scenario
+        depths = [len(e.path) for e in expected]
+        if depths.count(min(depths, default=0)) == 1:
+            assert error[0] == jsonschema.exceptions.best_match(expected).json_path, scenario
+
+
+def test_validator_reports_the_shallowest_error_first_in_schema_order():
+    scenario = copy.deepcopy(DEFAULT_SCENARIO)
+    scenario["observation"]["T"] = -1.0
+    scenario["seed"] = -1
+    assert schema_error(_schema(), scenario)[0] == "$.seed"
+    # the schema declares name before seed
+    scenario["name"] = 3
+    assert schema_error(_schema(), scenario)[0] == "$.name"
+    del scenario["metric"]
+    assert schema_error(_schema(), scenario) == ("$", "'metric' is a required property")
+
+
+@pytest.mark.parametrize("field, keyword", [
+    (("properties", "name"), {"pattern": "^d"}),
+    (("properties", "observation", "properties", "T"), {"multipleOf": 0.5}),
+    ((), {"additionalProperties": {"type": "number"}}),
+], ids=["pattern", "multipleOf", "additionalProperties-schema"])
+def test_validator_raises_on_a_keyword_it_does_not_interpret(field, keyword):
+    # a schema keyword the validator would skip could pass what the schema refuses
+    schema = copy.deepcopy(_schema())
+    node = schema
+    for key in field:
+        node = node[key]
+    node.update(keyword)
+    with pytest.raises(ValueError, match="unsupported schema keyword"):
+        schema_error(schema, DEFAULT_SCENARIO)
 
 
 def test_interaction_sweep_shares_one_source_parameter(tmp_path):

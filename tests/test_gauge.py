@@ -126,6 +126,42 @@ def test_cutoff_gradient_is_evaluated_only_at_live_points(monkeypatch):
     assert chi[live].tobytes() == live_chi.tobytes()
 
 
+def full_stack_value_and_grad(cut, x):
+    """chi and its gradient with the smooth step on every point and the gradient
+    on the rows where chi != 0, through a guarded division by the radius."""
+    x = np.asarray(x, dtype=float)
+    d = x[..., 1:] - cut.center
+    r = np.linalg.norm(d, axis=-1)
+    u = (r - cut.r0) / cut.width
+    a, b = SmoothStep.terms(u)
+    chi, grad = a / (a + b), np.zeros(x.shape)
+    live = np.flatnonzero(chi)
+    d, r = d.reshape(-1, d.shape[-1])[live], r.reshape(-1, 1)[live]
+    out = np.divide(d, r, out=np.zeros(d.shape), where=r > 1e-12)
+    out *= (SmoothStep.derivative(*(y.ravel()[live] for y in (u, a, b))) / cut.width)[:, None]
+    grad.reshape(-1, x.shape[-1])[live, 1:] = out
+    return chi, grad
+
+
+@pytest.mark.parametrize("r0, width", [(1.0, 0.5), (-0.5, 1.0), (0.0, 1.0), (-np.inf, 1.0)])
+def test_cutoff_matches_the_full_stack_formula_bit_for_bit(rng, r0, width):
+    # spatial radii at 0 and 1e-13 (the guarded division), on both sides of r0,
+    # where exp(-1/u) underflows, on the ramp and past it; the directions have
+    # negative entries, so the sign of every zero is compared too
+    cut = RadialCutoff(DIM, r0, width=width, center=[0.25, -0.5])
+    base = 0.0 if np.isinf(r0) else r0
+    radii = np.array([0.0, 1e-13, base, base + 1e-4 * width, base + 0.3 * width,
+                      base + (1 - 1e-4) * width, base + 2 * width, abs(base) / 2])
+    angles = rng.uniform(0, 2 * np.pi, (3, len(radii)))
+    xs = np.stack([rng.uniform(0, 6, angles.shape),
+                   0.25 + radii * np.cos(angles), -0.5 + radii * np.sin(angles)], axis=-1)
+    for x in (xs, xs[0, 3], rng.uniform(-3, 3, (40, DIM))):
+        chi, grad = cut.value_and_grad(x)
+        ref_chi, ref_grad = full_stack_value_and_grad(cut, x)
+        assert chi.tobytes() == ref_chi.tobytes() and chi.shape == np.shape(ref_chi)
+        assert grad.tobytes() == ref_grad.tobytes()
+
+
 def test_gauge_field_unitary_and_identity_inside(rng):
     obs = ObservationSet(Minkowski(DIM), T=6.0, radius=1.0)
     phi = random_gauge(DIM, N, rng, observation=obs)

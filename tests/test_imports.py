@@ -1,8 +1,8 @@
 """Every name a module under src/ imports is used by that module and
 none is private to another module of the package, importing the CLI
-loads no scipy, and the core layers import nothing from the three-wave
-layer or the CLI, and every parameter of a function outside a class is
-read, but for a listed few.
+loads no scipy, validating a scenario loads no jsonschema, the core
+layers import nothing from the three-wave layer or the CLI, and every
+parameter of a function outside a class is read, but for a listed few.
 
 No linter is installed, so this parses each module with ast. A name
 counts as used when it is read anywhere in the module, including as the
@@ -108,6 +108,16 @@ def test_cli_import_loads_no_scipy():
     # scipy is imported only inside connect_null
     code = ("import sys, lorentz_gauge.cli; "
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_jsonschema():
+    # the scenario schema is interpreted by config itself; jsonschema is a test oracle
+    code = ("import sys, copy, lorentz_gauge.cli as cli; "
+            "cli.validate_scenario(copy.deepcopy(cli.DEFAULT_SCENARIO)); "
+            "print([m for m in sys.modules if m.startswith('jsonschema')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
