@@ -5,6 +5,7 @@ from .geometry import (
     Cylinder,
     Minkowski,
     ObservationSet,
+    TimeWarp,
     WarpedProduct,
     connect_null,
     integrate_geodesic,
@@ -24,6 +25,7 @@ __all__ = [
     "GaugeField",
     "Minkowski",
     "ObservationSet",
+    "TimeWarp",
     "TransformOracle",
     "WarpedProduct",
     "broken_transform",

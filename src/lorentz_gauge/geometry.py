@@ -1,25 +1,23 @@
 """Lorentzian model spacetimes and their causal/geodesic structure.
 
-Provides the metric hierarchy (Minkowski, flat cylinder, warped
-products), geodesic samples with cubic-Hermite interpolation, time
-separation, null cut times, earliest observation times along worldlines,
-and null-geodesic connection by multi-start shooting.
+Provides the metric hierarchy, geodesic samples with cubic-Hermite
+interpolation, time separation, null cut times, earliest observation
+times along worldlines, and null-geodesic connection by multi-start
+shooting.  Each metric class carries the causal structure it knows in
+closed form:
 
-Geodesics come from closed forms where the metric has them: straight
-lines on the flat metrics and straight lines in conformal time on the
-time-only warped product with flat spatial factor.  That warp is a
-spacetime only on the slab around t = 0 where its warping function is
-positive, so a ray leaving the slab raises DomainError, as a causal
-query there does.  The rays of every other metric are marched by
-fixed-step RK4, which truncates a ray where it leaves the chart.
-
-Causal structure comes from closed forms on the metric classes: tau
-from the coordinate difference, with the cylinder's angle wrapped to the
-nearest winding and conformal time in place of t on the warped product;
-null cut times inf on Minkowski, pi/|v^0| on the cylinder and inf on the
-time-only warped product with flat spatial factor. Those three metrics
-are the ones that support causal queries; any other raises
-CapabilityError.
+- ``Minkowski``: tau from the coordinate difference, no null cut points,
+  straight-line rays.
+- ``Cylinder`` (flat 1+1, angle of period 2 pi): tau with the angle
+  wrapped to the nearest winding, null cut time pi/|v^0|, straight-line
+  rays.
+- ``TimeWarp`` (-beta(t) dt^2 + |dx|^2): tau and rays from conformal time,
+  in which the metric is a Minkowski slab, so no null cut points.  It is
+  a spacetime only on the slab around t = 0 where beta is positive, so a
+  causal query or a ray leaving the slab raises DomainError.
+- ``WarpedProduct`` (-beta(x) dt^2 + g0, g0 diagonal): no causal queries,
+  which raise CapabilityError; its rays are marched by fixed-step RK4,
+  which truncates a ray where it leaves the chart.
 
 Conventions: signature (-, +, ..., +); coordinate 0 is time; a tangent
 vector v is future-pointing when v[0] > 0.
@@ -54,18 +52,19 @@ class Metric:
     for one point.  Causal queries (``minkowski_delta``, ``time_separation``,
     ``null_cut_time``) are available only where the metric knows its
     causal structure in closed form; elsewhere they raise CapabilityError.
+    A concrete metric gives ``matrix``, ``inverse``, ``partials`` and
+    ``geodesic_acceleration``.
     """
 
     dim: int
     name: str = "metric"
     is_flat = False
+    # the CapabilityError of a query the metric lacks, formatted with query and name
+    lacking = "{query} not implemented for {name}"
 
     def matrix(self, x):
         """Metric components g_ij at x, shape (..., dim, dim)."""
         raise NotImplementedError
-
-    def inverse(self, x):
-        return np.linalg.inv(self.matrix(x))
 
     def partials(self, x):
         """d[..., k, i, j] = d g_ij / d x^k at x (zero for flat metrics)."""
@@ -82,7 +81,7 @@ class Metric:
 
     def minkowski_delta(self, x, y):
         """y - x in coordinates in which the metric is Minkowski, over leading axes."""
-        raise CapabilityError(f"time separation not implemented for {self.name}")
+        raise CapabilityError(self.lacking.format(query="time separation", name=self.name))
 
     def time_separation(self, x, y):
         """tau(x, y) over the leading axes of the point arrays x and y."""
@@ -90,7 +89,7 @@ class Metric:
 
     def null_cut_time(self, x, v):
         """Null cut time of gamma_{x,v} (inf if it has no cut point)."""
-        raise CapabilityError(f"null cut time not implemented for {self.name}")
+        raise CapabilityError(self.lacking.format(query="null cut time", name=self.name))
 
     # -- geodesics -----------------------------------------------------------
 
@@ -102,7 +101,7 @@ class Metric:
         closed-form geodesics raise CapabilityError, and integrate_geodesics
         marches their rays.
         """
-        raise CapabilityError(f"closed-form geodesics not implemented for {self.name}")
+        raise CapabilityError(self.lacking.format(query="closed-form geodesics", name=self.name))
 
     # -- derived quantities --------------------------------------------------
 
@@ -118,10 +117,6 @@ class Metric:
         )
         return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, bracket)
 
-    def geodesic_acceleration(self, x, v):
-        """The geodesic equation's x'' = -Gamma^i_jk v^j v^k, shape (..., dim)."""
-        return -np.einsum("...ijk,...j,...k->...i", self.christoffel(x), v, v)
-
     def inner(self, x, u, v):
         """g_x(u, v), summed as (u g) v."""
         u = np.asarray(u, dtype=float)[..., None, :]
@@ -136,14 +131,6 @@ class Metric:
         e = max(int(np.frexp(np.max(np.abs(v)))[1]), -500)
         v = np.ldexp(v, -e)
         return bool(abs(self.inner(x, v, v)) <= 1e-8 * max(math.ldexp(1.0, -2 * e), float(v @ v)))
-
-    def flat(self, x, v):
-        """Index lowering: the covector v^flat = g(v, .)."""
-        return (self.matrix(x) @ np.asarray(v, dtype=float)[..., None])[..., 0]
-
-    def sharp(self, x, xi):
-        """Index raising: the vector xi^sharp with g(xi^sharp, .) = xi."""
-        return (self.inverse(x) @ np.asarray(xi, dtype=float)[..., None])[..., 0]
 
     def orthonormal_frame(self, y):
         """Columns e_0..e_{d-1}: g(e_0,e_0) = -1, g(e_a,e_b) = delta_ab.
@@ -236,14 +223,14 @@ class WarpedProduct(Metric):
     ``beta`` is a positive scalar field (object with value/grad, e.g.
     ScalarExpansion); ``g0_diag`` is an optional list of dim-1 positive
     scalar fields for the diagonal spatial metric (identity if omitted).
-    ``beta_time_only`` declares that beta depends on t alone.  With that
-    and a flat spatial factor, conformal time t~ = int sqrt(beta) dt maps
-    the metric isometrically onto a Minkowski slab (O'Neill,
-    Semi-Riemannian Geometry, 1983), which gives tau in closed form and
-    no null cut points; other warped products support no causal queries.
+    It supports no causal queries and its rays are marched by RK4; the
+    time-only warp with flat spatial factor is ``TimeWarp``.
     """
 
-    def __init__(self, dim, beta, g0_diag=None, beta_time_only=False):
+    lacking = ("{query} on warped products requires a time-only warping "
+               "function and flat spatial factor")
+
+    def __init__(self, dim, beta, g0_diag=None):
         if dim < 2:
             raise DomainError("need at least one time and one space dimension")
         self.dim = int(dim)
@@ -252,8 +239,6 @@ class WarpedProduct(Metric):
         self.g0_diag = list(g0_diag) if g0_diag is not None else None
         if self.g0_diag is not None and len(self.g0_diag) != self.dim - 1:
             raise DomainError("g0_diag must supply one field per spatial coordinate")
-        self.beta_time_only = bool(beta_time_only)
-        self._conformal_edges = {1: np.zeros(1), -1: np.zeros(1)}
 
     def in_chart(self, x):
         return self.beta.value(x) > 0
@@ -306,12 +291,19 @@ class WarpedProduct(Metric):
         with np.errstate(divide="ignore"):
             return np.where(diag[..., :1] < 0, -(v * along - 0.5 * across) / diag, np.nan)
 
-    def _require_conformally_flat(self, query):
-        if not (self.beta_time_only and self.g0_diag is None):
-            raise CapabilityError(
-                f"{query} on warped products requires a time-only warping "
-                "function and flat spatial factor"
-            )
+
+class TimeWarp(WarpedProduct):
+    """The time-only warp -beta(t) dt^2 + |dx|^2, beta a function of t alone.
+
+    Conformal time t~ = int sqrt(beta) dt maps the metric isometrically
+    onto a Minkowski slab (O'Neill, Semi-Riemannian Geometry, 1983), which
+    gives tau in closed form, no null cut points and straight rays in
+    conformal time.
+    """
+
+    def __init__(self, dim, beta):
+        super().__init__(dim, beta)
+        self._conformal_edges = {1: np.zeros(1), -1: np.zeros(1)}
 
     def _on_axis(self, t):
         """The points (t, 0, ..., 0) over the leading axes of t."""
@@ -389,14 +381,12 @@ class WarpedProduct(Metric):
 
     def minkowski_delta(self, x, y):
         """y - x with conformal time in place of t."""
-        self._require_conformally_flat("time separation")
         conformal = self.conformal_time
         d = self.coord_delta(y, x)
         d[..., 0] = conformal(np.asarray(y)[..., 0]) - conformal(np.asarray(x)[..., 0])
         return d
 
     def null_cut_time(self, x, v):
-        self._require_conformally_flat("null cut time")
         return math.inf
 
     def _conformal_inverse(self, target, t, lo, hi):
@@ -440,7 +430,6 @@ class WarpedProduct(Metric):
         between the slab's ends, from the ray's start where its guess lies
         outside them.
         """
-        self._require_conformally_flat("closed-form geodesics")
         if not len(s):
             return []
         counts = [len(sr) for sr in s]
@@ -472,16 +461,10 @@ def metric_from_json(obj):
     if kind == "cylinder":
         return Cylinder()
     if kind == "warped":
-        beta = ScalarExpansion.from_json(obj["beta"])
-        g0 = None
+        dim, beta = int(obj["dim"]), ScalarExpansion.from_json(obj["beta"])
         if obj.get("g0_diag"):
-            g0 = [ScalarExpansion.from_json(f) for f in obj["g0_diag"]]
-        return WarpedProduct(
-            int(obj["dim"]),
-            beta,
-            g0_diag=g0,
-            beta_time_only=bool(obj.get("beta_time_only", False)),
-        )
+            return WarpedProduct(dim, beta, [ScalarExpansion.from_json(f) for f in obj["g0_diag"]])
+        return TimeWarp(dim, beta) if obj.get("beta_time_only") else WarpedProduct(dim, beta)
     raise DomainError(f"unknown metric kind {kind!r}")
 
 

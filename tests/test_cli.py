@@ -640,7 +640,8 @@ def test_experiments_march_each_ray_once(tmp_path, monkeypatch, command):
     import lorentz_gauge.geometry as geo
     import lorentz_gauge.transport as tr
 
-    samples, rk4_march = geo.WarpedProduct.geodesic_samples, geo._rk4_march
+    warp = type(geo.metric_from_json(SWEEP_METRICS["time-only-warp"]))
+    samples, rk4_march = warp.geodesic_samples, geo._rk4_march
     integrate_geodesics = tr.integrate_geodesics
     counts = [0, 0, 0]
 
@@ -658,7 +659,7 @@ def test_experiments_march_each_ray_once(tmp_path, monkeypatch, command):
         counts[2] += len(x0s)
         return integrate_geodesics(metric, x0s, *args, **kwargs)
 
-    monkeypatch.setattr(geo.WarpedProduct, "geodesic_samples", closed_form)
+    monkeypatch.setattr(warp, "geodesic_samples", closed_form)
     monkeypatch.setattr(geo, "_rk4_march", march)
     monkeypatch.setattr(tr, "integrate_geodesics", legs)
     cfg = tmp_path / "warp.json"

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lorentz_gauge.geometry import (
     GeodesicSegment,
     Minkowski,
     ObservationSet,
+    TimeWarp,
     WarpedProduct,
     WorldLine,
     connect_null,
@@ -43,14 +45,14 @@ class ExpBeta:
 
 
 def warped():
-    return WarpedProduct(2, ExpBeta(), beta_time_only=True)
+    return TimeWarp(2, ExpBeta())
 
 
 def warped_cosine(time_only=True):
     """Time-only warp beta = 1 + 0.3 cos(t/2) in 2+1, flat spatial factor;
     with time_only=False the same beta undeclared, whose rays RK4 marches."""
     beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
-    return WarpedProduct(3, beta, beta_time_only=time_only)
+    return TimeWarp(3, beta) if time_only else WarpedProduct(3, beta)
 
 
 def warped_spatial():
@@ -65,6 +67,16 @@ def warped_spatial():
 
 METRICS = [Minkowski(3), Cylinder(), warped_cosine(), warped_spatial()]
 METRIC_IDS = ["minkowski", "cylinder", "time-only-warp", "g0-warp"]
+
+
+def _lower(metric, x, v):
+    """Index lowering: the covector g(v, .)."""
+    return (metric.matrix(x) @ np.asarray(v, dtype=float)[..., None])[..., 0]
+
+
+def _raise(metric, x, xi):
+    """Index raising: the vector g^-1 xi, with g(g^-1 xi, .) = xi."""
+    return (metric.inverse(x) @ np.asarray(xi, dtype=float)[..., None])[..., 0]
 
 
 def _point_loop(method, *arrays):
@@ -86,8 +98,8 @@ def test_batched_metric_methods_match_point_loop(rng, metric, lead):
         got, loop = method(x), _point_loop(method, x)
         assert got.shape == loop.shape
         np.testing.assert_allclose(got, loop, rtol=1e-14, atol=1e-15)
-    for name in ("flat", "sharp", "geodesic_acceleration"):
-        method = getattr(metric, name)
+    for method in (partial(_lower, metric), partial(_raise, metric),
+                   metric.geodesic_acceleration):
         np.testing.assert_allclose(method(x, v), _point_loop(method, x, v),
                                    rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(metric.inner(x, u, v), _point_loop(metric.inner, x, u, v),
@@ -130,7 +142,7 @@ def test_flat_sharp_roundtrip(rng):
     for _ in range(1000):
         x = rng.uniform(-1, 1, size=2)
         v = rng.standard_normal(2)
-        assert np.allclose(m.sharp(x, m.flat(x, v)), v, atol=1e-12)
+        assert np.allclose(_raise(m, x, _lower(m, x, v)), v, atol=1e-12)
 
 
 def test_warped_christoffel_oracle():
@@ -211,7 +223,7 @@ def test_warped_null_geodesic_preserves_nullness():
 def test_warped_geodesic_fourth_order():
     # Richardson: halving h must cut the endpoint error ~16x; beta = e^{2t}
     # undeclared, since the declared time-only warp has closed-form rays
-    m = WarpedProduct(2, ExpBeta(), beta_time_only=False)
+    m = WarpedProduct(2, ExpBeta())
     v0 = np.array([1.0, 0.999])
 
     def endpoint(h):
@@ -227,7 +239,7 @@ def test_warped_geodesic_fourth_order():
     (warped_cosine(), warped_cosine(time_only=False),
      [([1.0, 0.2, 0.1], [0.6, 0.8]), ([2.5, -0.3, 0.4], [-1.0, 0.0]), ([0.0, 0.0, 0.0], [0.8, -0.6])]),
     # RK4's own error at h = 5e-3 stays below 1e-13 where v^0 = e^{-t} < 1
-    (warped(), WarpedProduct(2, ExpBeta(), beta_time_only=False),
+    (warped(), WarpedProduct(2, ExpBeta()),
      [([1.0, 0.0], [1.0]), ([1.2, 0.1], [-1.0]), ([1.5, 0.0], [1.0])]),
 ], ids=["cosine", "exp"])
 def test_closed_form_geodesics_match_rk4(declared, marched, rays):
@@ -267,14 +279,6 @@ def test_closed_form_newton_names_its_failure():
     metric.conformal_time = lambda t: 3.0 * np.asarray(t)
     with pytest.raises(GeometryError, match="did not converge"):
         integrate_geodesic(metric, np.zeros(3), np.array([1.0, 0.6, 0.8]), 1.0, h=0.1)
-
-
-def test_geodesic_samples_is_a_capability():
-    # a warp with a g0_diag factor, or whose beta is not declared time-only, has no closed form
-    x0s, v0s = np.zeros((1, 3)), np.array([[1.0, 0.6, 0.8]])
-    for metric in (warped_spatial(), warped_cosine(time_only=False)):
-        with pytest.raises(CapabilityError):
-            metric.geodesic_samples(x0s, v0s, [np.linspace(0.0, 1.0, 5)])
 
 
 def test_segment_interpolation_accuracy():
@@ -388,7 +392,7 @@ def test_closed_form_serves_the_slab_of_a_vanishing_warp_where_rk4_truncates():
     # guess t0 + v^0 s reaches t = 5 beyond the zero, while its true t(9) is
     # -0.958; RK4 on the same beta undeclared agrees within its own error
     beta = ScalarExpansion(3, constant=0.5, waves=[(1.0, [0.5, 0.0, 0.0], 0.0)])
-    metric = WarpedProduct(3, beta, beta_time_only=True)
+    metric = TimeWarp(3, beta)
     x0s = np.array([[1.0, 0.2, 0.1], [3.25, 0.1, 0.0], [2.0, -0.4, 0.3], [10.0, 0.1, -0.2],
                     [3.5, 0.0, 0.0], [-4.0, 0.0, 0.0]])
     v0s = np.array([[1.0, 0.6, 0.8], [1.6, 0.5, 0.2], [-1.0, 0.8, -0.6], [1.0, 0.0, 1.0],
@@ -421,7 +425,8 @@ def _field(constant, amp, freq):
 
 
 # each metric kind that metric_from_json builds, with the rays of a stack of three
-# that the closed form serves and the RK4 directions marched (None: the stack raises)
+# that the closed form serves and the RK4 directions marched (None: the stack raises);
+# a time-only beta with a g0_diag factor is a WarpedProduct, whose rays RK4 marches
 STACK_PATHS = {
     "minkowski": ({"kind": "minkowski", "dim": 3}, (3, 0)),
     "cylinder": ({"kind": "cylinder"}, (3, 0)),
@@ -431,6 +436,10 @@ STACK_PATHS = {
     "g0-warp": ({"kind": "warped", "dim": 3, "beta": _field(1.0, 0.3, [0.5, 0.0, 0.0]),
                  "g0_diag": [_field(1.0, 0.2, [0.3, 0.0, 0.7]),
                              _field(1.5, 0.4, [0.0, 0.6, 0.2])]}, (0, 5)),
+    "time-only-g0-warp": ({"kind": "warped", "dim": 3, "beta_time_only": True,
+                           "beta": _field(1.0, 0.3, [0.5, 0.0, 0.0]),
+                           "g0_diag": [_field(1.0, 0.2, [0.3, 0.0, 0.7]),
+                                       _field(1.5, 0.4, [0.0, 0.6, 0.2])]}, (0, 5)),
     "vanishing-warp": ({"kind": "warped", "dim": 3, "beta_time_only": True,
                         "beta": _field(0.5, 1.0, [0.5, 0.0, 0.0])}, None),
 }
@@ -444,6 +453,7 @@ def test_a_stack_takes_one_geodesic_path(monkeypatch, kind):
     # time cannot reach, and the stack raises with no RK4 march
     block, expected = STACK_PATHS[kind]
     metric = metric_from_json(block)
+    assert (type(metric) is TimeWarp) == (kind in ("time-only-warp", "vanishing-warp"))
     counts = [0, 0]
     samples, march = type(metric).geodesic_samples, geometry._rk4_march
 
@@ -470,6 +480,27 @@ def test_a_stack_takes_one_geodesic_path(monkeypatch, kind):
         assert tuple(counts) == expected
         assert [(seg.s_min, seg.s_max) for seg in segments] == [(-0.5, 1.0), (-0.4, 0.5),
                                                                  (0.0, 2.0)]
+
+
+# the three queries a warped product lacks: closed-form rays, tau and null cut times
+WARP_QUERIES = {
+    "geodesic_samples": lambda m: m.geodesic_samples(np.zeros((1, 3)), np.array([[1.0, 0.6, 0.8]]),
+                                                     [np.linspace(0.0, 1.0, 5)]),
+    "time_separation": lambda m: time_separation(m, np.zeros(3), [0.5, 0.1, 0.0]),
+    "null_cut_time": lambda m: null_cut_time(m, np.zeros(3),
+                                             null_vector(m, np.zeros(3), np.array([1.0, 0.0]))),
+}
+
+
+@pytest.mark.parametrize("make", [lambda: warped_cosine(time_only=False), warped_spatial,
+                                  lambda: metric_from_json(STACK_PATHS["time-only-g0-warp"][0])],
+                         ids=["undeclared", "g0_diag", "time-only-g0_diag-block"])
+@pytest.mark.parametrize("query", list(WARP_QUERIES))
+def test_warped_product_queries_are_capabilities(make, query):
+    # a warp whose beta is not declared time-only, or that has a g0_diag factor
+    # (declared time-only or not), has neither closed-form rays nor causal queries
+    with pytest.raises(CapabilityError, match="time-only warping function"):
+        WARP_QUERIES[query](make())
 
 
 def test_integrate_geodesics_truncates_one_ray_at_the_chart():
@@ -575,11 +606,11 @@ def test_conformal_time_evaluates_beta_between_0_and_t():
     # [DERIVED] beta = 1 + t: t~ = (2/3)((1 + t)^{3/2} - 1)
     for t in (-0.9, 0.3, 2.9, 5.0):
         beta = LinearBeta()
-        m = WarpedProduct(2, beta, beta_time_only=True)
+        m = TimeWarp(2, beta)
         assert abs(m.conformal_time(t) - 2 / 3 * ((1 + t) ** 1.5 - 1)) < 1e-13
         assert min(0.0, t) <= min(beta.seen) and max(beta.seen) <= max(0.0, t)
     with pytest.raises(DomainError):
-        WarpedProduct(2, LinearBeta(), beta_time_only=True).conformal_time(-1.5)
+        TimeWarp(2, LinearBeta()).conformal_time(-1.5)
 
 
 def test_conformal_time_far_beyond_a_zero_stops_near_it():
@@ -588,7 +619,7 @@ def test_conformal_time_far_beyond_a_zero_stops_near_it():
     # table has doubled past the zero, not after a table of 4e9 cells
     beta = LinearBeta()
     with pytest.raises(DomainError):
-        WarpedProduct(2, beta, beta_time_only=True).conformal_time(-1e9)
+        TimeWarp(2, beta).conformal_time(-1e9)
     assert min(beta.seen) >= -2.0 and len(beta.seen) < 200
 
 
@@ -601,12 +632,6 @@ def test_conformal_time_is_the_same_alone_and_in_a_batch():
     assert all(alone.conformal_time(ti) == b for ti, b in zip(t, batch))
     m.conformal_time(40.0)
     assert np.array_equal(m.conformal_time(t), batch)
-
-
-def test_time_separation_warped_capability():
-    m = WarpedProduct(2, ExpBeta(), beta_time_only=False)
-    with pytest.raises(CapabilityError):
-        time_separation(m, [0.0, 0.0], [0.5, 0.1])
 
 
 def test_lower_semicontinuity_spot_check():
@@ -642,13 +667,6 @@ def test_null_cut_time_warped_time_only_infinite():
     for sign in (1.0, -1.0):
         v = null_vector(m, y, np.array([1.0, 0.0]), time_sign=sign)
         assert null_cut_time(m, y, v) == math.inf
-
-
-def test_null_cut_time_warped_capability():
-    m = WarpedProduct(2, ExpBeta(), beta_time_only=False)
-    v = null_vector(m, np.zeros(2), np.array([1.0]))
-    with pytest.raises(CapabilityError):
-        null_cut_time(m, np.zeros(2), v)
 
 
 def test_validated_warped_query_matches_unvalidated():

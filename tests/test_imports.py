@@ -1,8 +1,9 @@
 """Every name a module under src/ imports is used by that module and
 none is private to another module of the package, importing the CLI
 loads no scipy, validating a scenario loads no jsonschema, the core
-layers import nothing from the three-wave layer or the CLI, and every
-parameter of a function outside a class is read, but for a listed few.
+layers import nothing from the three-wave layer or the CLI, every
+parameter of a function outside a class is read, but for a listed few, and
+the package exports every metric class.
 
 No linter is installed, so this parses each module with ast. A name
 counts as used when it is read anywhere in the module, including as the
@@ -189,3 +190,17 @@ def test_finds_private_package_names():
 def test_imports_no_private_name(path):
     # every module is built on the public names of the others
     assert list(_private_package_names(ast.parse(path.read_text()))) == []
+
+
+def test_package_exports_every_metric_class():
+    # every name of __all__ resolves, and each public Metric subclass of geometry is one
+    import lorentz_gauge
+    from lorentz_gauge import geometry
+
+    assert [name for name in lorentz_gauge.__all__ if not hasattr(lorentz_gauge, name)] == []
+    metrics = [name for name, value in vars(geometry).items()
+               if isinstance(value, type) and issubclass(value, geometry.Metric)
+               and value is not geometry.Metric and not name.startswith("_")]
+    assert {"Minkowski", "Cylinder", "WarpedProduct", "TimeWarp"} <= set(metrics)
+    for name in metrics:
+        assert name in lorentz_gauge.__all__ and getattr(lorentz_gauge, name) is vars(geometry)[name]

@@ -18,7 +18,7 @@ from lorentz_gauge.geometry import (
     GeodesicSegment,
     Minkowski,
     ObservationSet,
-    WarpedProduct,
+    TimeWarp,
     WorldLine,
     earliest_obs_time,
     integrate_geodesic,
@@ -64,7 +64,7 @@ def outgoing_toward_center(y):
 
 def time_only_warp():
     beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
-    return WarpedProduct(3, beta, beta_time_only=True)
+    return TimeWarp(3, beta)
 
 
 Y_OUT = np.array([3.0, 1.8, 0.5])  # interior vertex outside the observation set
@@ -257,7 +257,7 @@ def test_diamond_grid_can_be_empty(planted):
 def test_diamond_grid_outside_chart():
     # beta = 0.1 + cos t is negative at the lattice's middle time t = 3
     beta = ScalarExpansion(3, constant=0.1, waves=[(1.0, [1.0, 0.0, 0.0], 0.0)])
-    m = WarpedProduct(3, beta, beta_time_only=True)
+    m = TimeWarp(3, beta)
     with pytest.raises(DomainError):
         diamond_grid(m, ObservationSet(m, T=6.0, radius=1.0), per_axis=3)
 
@@ -481,8 +481,7 @@ def reference_residuals(conn_a, conn_b, phi, samples):
 
 
 EPS = np.finfo(float).eps
-WARP3 = WarpedProduct(3, ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)]),
-                      beta_time_only=True)
+WARP3 = TimeWarp(3, ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -11,7 +11,7 @@ from lorentz_gauge.gauge import ConnectionField, gauge_act, random_connection, r
 from lorentz_gauge.geometry import (
     Minkowski,
     ObservationSet,
-    WarpedProduct,
+    TimeWarp,
     integrate_geodesic,
     null_vector,
 )
@@ -51,12 +51,22 @@ def unit_c(rng, n=2):
 
 def _warped_time_only():
     beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
-    return WarpedProduct(3, beta, beta_time_only=True)
+    return TimeWarp(3, beta)
+
+
+def _lower(metric, x, v):
+    """Index lowering: the covector g(v, .)."""
+    return (metric.matrix(x) @ np.asarray(v, dtype=float)[..., None])[..., 0]
+
+
+def _raise(metric, x, xi):
+    """Index raising: the vector g^-1 xi, with g(g^-1 xi, .) = xi."""
+    return (metric.inverse(x) @ np.asarray(xi, dtype=float)[..., None])[..., 0]
 
 
 def hamiltonian(seg):
     """H = 1/2 g(v, v) at every sample of a geodesic segment."""
-    return 0.5 * np.sum(seg.v * seg.metric.flat(seg.x, seg.v), axis=-1)
+    return 0.5 * np.sum(seg.v * _lower(seg.metric, seg.x, seg.v), axis=-1)
 
 
 # -- bicharacteristics --------------------------------------------------------
@@ -68,13 +78,13 @@ def hamiltonian(seg):
 def test_bicharacteristic_minkowski_trivial():
     seg = integrate_geodesic(M4, np.zeros(4), np.array([1.0, 1.0, 0.0, 0.0]), 2.0)
     assert np.allclose(seg.x[-1], [2.0, 2.0, 0.0, 0.0], atol=1e-14)
-    xi = M4.flat(seg.x, seg.v)
+    xi = _lower(M4, seg.x, seg.v)
     assert np.allclose(xi, xi[0], atol=1e-14)
     assert np.all(hamiltonian(seg) == 0.0)
 
 
 def test_bicharacteristic_hamiltonian_conservation():
-    m = WarpedProduct(2, ExpBeta(), beta_time_only=True)
+    m = TimeWarp(2, ExpBeta())
     v0 = np.array([1.0, 1.0])  # lightlike at t = 0 where beta = 1
     h = hamiltonian(integrate_geodesic(m, np.zeros(2), v0, 0.8, h=1e-3))
     assert float(np.max(np.abs(h - h[0]))) < 1e-9
@@ -83,7 +93,7 @@ def test_bicharacteristic_hamiltonian_conservation():
 def test_bicharacteristic_scaling():
     # gamma_{x, lam v}(s / lam) = gamma_{x, v}(s), and the lowered velocity
     # scales by lam
-    m = WarpedProduct(2, ExpBeta(), beta_time_only=True)
+    m = TimeWarp(2, ExpBeta())
     v0 = np.array([1.0, 1.0])
     lam = 2.0
     base = integrate_geodesic(m, np.zeros(2), v0, 0.8, h=1e-3)
@@ -91,7 +101,7 @@ def test_bicharacteristic_scaling():
     xb, vb = base.state(0.8)
     xs, vs = scaled.state(0.4)
     assert np.linalg.norm(xs - xb) < 1e-8
-    assert np.linalg.norm(m.flat(xs, vs) - lam * m.flat(xb, vb)) < 1e-8
+    assert np.linalg.norm(_lower(m, xs, vs) - lam * _lower(m, xb, vb)) < 1e-8
 
 
 def test_symbol_homogeneity(rng):
@@ -99,7 +109,7 @@ def test_symbol_homogeneity(rng):
     # reparametrisation invariance: P along gamma_{x, lam xi^sharp} over
     # [0, s / lam] equals P along gamma_{x, xi^sharp} over [0, s]
     a = random_connection(3, 2, rng)
-    x, v, s, lam = np.zeros(3), M3.sharp(np.zeros(3), np.array([-1.0, 1.0, 0.0])), 1.5, 2.0
+    x, v, s, lam = np.zeros(3), _raise(M3, np.zeros(3), np.array([-1.0, 1.0, 0.0])), 1.5, 2.0
     base = integrate_geodesic(M3, x, v, s, h=min(1e-3, s / 50))
     scaled = integrate_geodesic(M3, x, lam * v, s / lam, h=min(1e-3, s / (50 * lam)))
     p_base = parallel_transport(M3, a, base, 0.0, s)
@@ -146,8 +156,7 @@ def test_interaction_vectors_lightlike_and_sources_observed():
             assert causally_independent(M3, geom.x_legs[j], geom.x_legs[k])
 
 
-WARP = WarpedProduct(3, ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)]),
-                     beta_time_only=True)
+WARP = TimeWarp(3, ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)]))
 
 
 @pytest.mark.parametrize("stretch", [1.0, 1.0 + 1e-14])
@@ -235,7 +244,7 @@ def test_sweep_without_common_source_parameter():
 
 
 def test_orthonormal_frame_warped():
-    m = WarpedProduct(2, ExpBeta(), beta_time_only=True)
+    m = TimeWarp(2, ExpBeta())
     y = np.array([0.5, 0.0])
     e = m.orthonormal_frame(y)
     g = m.matrix(y)

@@ -21,7 +21,7 @@ from lorentz_gauge.geometry import (
     Cylinder,
     Minkowski,
     ObservationSet,
-    WarpedProduct,
+    TimeWarp,
     integrate_geodesic,
     integrate_geodesics,
     null_cut_time,
@@ -367,7 +367,7 @@ def test_validation_sees_the_transported_legs(monkeypatch):
     import lorentz_gauge.transport as tr
 
     beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
-    m = WarpedProduct(3, beta, beta_time_only=True)
+    m = TimeWarp(3, beta)
     y = np.array([3.0, 0.2, 0.1])
     v = null_vector(m, y, np.array([1.0, 0.0]), time_sign=-1.0)
     w = null_vector(m, y, np.array([0.0, 1.0]))
@@ -392,7 +392,7 @@ def test_validated_broken_transform_integrates_each_leg_once(monkeypatch):
     import lorentz_gauge.transport as tr
 
     beta = ScalarExpansion(3, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
-    m = WarpedProduct(3, beta, beta_time_only=True)
+    m = TimeWarp(3, beta)
     y = np.array([3.0, 0.2, 0.1])
     v = null_vector(m, y, np.array([1.0, 0.0]), time_sign=-1.0)
     w = null_vector(m, y, np.array([0.0, 1.0]))
@@ -466,7 +466,7 @@ def test_gauged_transport_memory_peak():
 
 def time_only_warp():
     beta = ScalarExpansion(DIM, constant=1.0, waves=[(0.3, [0.5, 0.0, 0.0], 0.0)])
-    return WarpedProduct(DIM, beta, beta_time_only=True)
+    return TimeWarp(DIM, beta)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
