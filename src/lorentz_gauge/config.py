@@ -146,6 +146,10 @@ def validate_scenario(obj):
 def _check_warped(metric):
     """The rules of a warped metric block that tie its fields together."""
     dim = metric["dim"]
+    # an empty list means the field is absent: the spatial factor is flat
+    if metric.get("g0_diag") and len(metric["g0_diag"]) != dim - 1:
+        raise ScenarioError(f"g0_diag needs {dim - 1} fields, one per spatial coordinate",
+                            path="$.metric.g0_diag")
     fields = [("$.metric.beta", metric["beta"])]
     fields += [(f"$.metric.g0_diag[{i}]", f) for i, f in enumerate(metric.get("g0_diag", []))]
     for path, spec in fields:

@@ -146,6 +146,21 @@ class SmoothStep:
         return np.where(inside, a * b * (1.0 / w**2 + 1.0 / (1.0 - w) ** 2) / (a + b) ** 2, 0.0)
 
 
+def _radius(d):
+    """|d| over the last axis with the bits of np.linalg.norm(d, axis=-1), whose sum
+    of squares is numpy's pairwise sum: a running sum of fewer than 8 terms, else a
+    tree of the first 8 and a running sum of the rest (so up to 15 terms)."""
+    sq = d * d
+    if sq.shape[-1] < 8:
+        total, rest = sq[..., 0], sq[..., 1:]
+    else:
+        pairs = sq[..., 0:8:2] + sq[..., 1:8:2]
+        total, rest = (pairs[..., 0] + pairs[..., 1]) + (pairs[..., 2] + pairs[..., 3]), sq[..., 8:]
+    for j in range(rest.shape[-1]):
+        total = total + rest[..., j]
+    return np.sqrt(total)
+
+
 class RadialCutoff:
     """chi(x) = S((|x'| - r0) / width): vanishes for spatial radius <= r0.
 
@@ -161,14 +176,14 @@ class RadialCutoff:
 
     def value(self, x):
         d = np.asarray(x, dtype=float)[..., 1:] - self.center
-        return SmoothStep.value((np.linalg.norm(d, axis=-1) - self.r0) / self.width)
+        return SmoothStep.value((_radius(d) - self.r0) / self.width)
 
     def value_and_grad(self, x):
         """chi(x) and its gradient from one radius, the smooth step where u > 0 and the
         gradient where chi != 0 only: elsewhere S and S' vanish together."""
         x = np.asarray(x, dtype=float)
         d = x[..., 1:] - self.center
-        r = np.linalg.norm(d, axis=-1)
+        r = _radius(d)
         u = (r - self.r0) / self.width
         chi, grad = np.zeros(r.shape), np.zeros(x.shape)
         # the rows of the flattened points where u > 0, then those where exp(-1/u)

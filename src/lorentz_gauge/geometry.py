@@ -475,14 +475,14 @@ def metric_from_json(obj):
 
 @dataclass
 class GeodesicSegment:
-    """Sampled geodesic gamma on [s_min, s_max] with Hermite interpolation."""
+    """Sampled geodesic gamma on [s_min, s_max], interpolated by cubic Hermite cells."""
 
     metric: Metric
     s: np.ndarray  # (N,), strictly increasing
     x: np.ndarray  # (N, dim)
     v: np.ndarray  # (N, dim)
     truncated: bool = False
-    _accel: np.ndarray | None = field(default=None, repr=False)
+    _cells: tuple | None = field(default=None, repr=False)
 
     @property
     def s_min(self):
@@ -492,17 +492,35 @@ class GeodesicSegment:
     def s_max(self):
         return float(self.s[-1])
 
-    def _acceleration(self):
-        if self._accel is None:
-            self._accel = self.metric.geodesic_acceleration(self.x, self.v)
-        return self._accel
+    def _cubic_cells(self):
+        """(h, c): the width h[i] of the cell [s[i], s[i + 1]], and c[k, i], the
+        coefficient of t^k, t = (s - s[i]) / h[i], of the cubic Hermite
+        interpolant of (position, velocity) there, whose position has the
+        stored velocities as derivative and whose velocity has the geodesic
+        accelerations.  Cell N - 1 is the last sample, constant, of width 1.
+        Made once, coefficient-major so that the rows state gathers for one
+        coefficient are contiguous.
+        """
+        if self._cells is None:
+            p = np.concatenate([self.x, self.v], axis=1)
+            m = np.concatenate([self.v, self.metric.geodesic_acceleration(self.x, self.v)], axis=1)
+            h = np.diff(self.s)[:, None]
+            # the tangents at both ends of a cell, scaled by its width
+            m0, m1, dp = m[:-1] * h, m[1:] * h, p[1:] - p[:-1]
+            c = np.zeros((4,) + p.shape)
+            c[0] = p
+            c[1, :-1] = m0
+            c[2, :-1] = 3 * dp - 2 * m0 - m1
+            c[3, :-1] = m0 + m1 - 2 * dp
+            self._cells = np.append(h, 1.0), c
+        return self._cells
 
     def state(self, si):
         """Interpolated (position, velocity) at parameter values si.
 
-        Positions use cubic Hermite interpolation on the stored samples
-        (velocities are the exact derivatives); velocities use Hermite
-        interpolation with the geodesic acceleration as derivative.
+        A flat segment is its straight line.  On a curved metric each value
+        is its cell's cubic of _cubic_cells, so a stored sample comes back
+        exactly.
         """
         si = np.asarray(si, dtype=float)
         scalar = si.ndim == 0
@@ -514,12 +532,16 @@ class GeodesicSegment:
             pos = self.x[0] + (sq - self.s[0])[:, None] * self.v[0]
             vel = np.broadcast_to(self.v[0], pos.shape).copy()
         else:
-            idx = np.clip(np.searchsorted(self.s, sq, side="right") - 1, 0, len(self.s) - 2)
-            h = (self.s[idx + 1] - self.s[idx])[:, None]
-            t = ((sq - self.s[idx])[:, None]) / h
-            acc = self._acceleration()
-            pos = _hermite(self.x[idx], self.v[idx] * h, self.x[idx + 1], self.v[idx + 1] * h, t)
-            vel = _hermite(self.v[idx], acc[idx] * h, self.v[idx + 1], acc[idx + 1] * h, t)
+            h, c = self._cubic_cells()
+            idx = np.searchsorted(self.s, sq, side="right") - 1
+            t = ((sq - self.s[idx]) / h[idx])[:, None]
+            c = np.take(c, idx, axis=1)
+            # Horner's rule, in place on the gathered rows
+            out = c[3]
+            for k in (2, 1, 0):
+                out *= t
+                out += c[k]
+            pos, vel = out[:, : self.metric.dim], out[:, self.metric.dim :]
         if scalar:
             return pos[0], vel[0]
         return pos, vel
@@ -537,18 +559,6 @@ class GeodesicSegment:
     def null_residual(self):
         """Max |g(v, v)| over the stored samples."""
         return float(np.max(np.abs(self.metric.inner(self.x, self.v, self.v))))
-
-
-def _hermite(p0, m0, p1, m1, t):
-    """Cubic Hermite basis on [0, 1]; tangents already scaled by the step."""
-    t2 = t * t
-    t3 = t2 * t
-    return (
-        (2 * t3 - 3 * t2 + 1) * p0
-        + (t3 - 2 * t2 + t) * m0
-        + (-2 * t3 + 3 * t2) * p1
-        + (t3 - t2) * m1
-    )
 
 
 def _rk4_march(metric, x0, v0, s_stop, n_steps):

@@ -246,6 +246,9 @@ MALFORMED_WARPS = {
     "time-only-warp-with-spatial-freq": ({"kind": "warped", "dim": 3, "beta_time_only": True,
                                           "beta": beta_block(freq=(0, 1, 0))},
                                          "$.metric.beta.waves[0].freq"),
+    # one g0_diag field in 2+1 passed the reader, and the metric raised without a path
+    "g0-diag-of-wrong-length": ({"kind": "warped", "dim": 3, "beta": beta_block(),
+                                 "g0_diag": [beta_block()]}, "$.metric.g0_diag"),
 }
 
 

@@ -9,6 +9,7 @@ from lorentz_gauge.gauge import (
     MatrixExpansion,
     RadialCutoff,
     SmoothStep,
+    _radius,
     gauge_act,
     random_connection,
     random_gauge,
@@ -160,6 +161,22 @@ def test_cutoff_matches_the_full_stack_formula_bit_for_bit(rng, r0, width):
         ref_chi, ref_grad = full_stack_value_and_grad(cut, x)
         assert chi.tobytes() == ref_chi.tobytes() and chi.shape == np.shape(ref_chi)
         assert grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(2, 11))
+def test_cutoff_radius_keeps_the_bits_of_norm(rng, dim):
+    # every dim the scenario schema admits, 1 to 9 spatial axes: the radius is the
+    # sum of squares np.linalg.norm takes, term for term, so chi and its gradient
+    # keep the bits of the norm-based formula
+    cut = RadialCutoff(dim, 1.0, width=0.5, center=rng.uniform(-0.5, 0.5, dim - 1))
+    for lead in ((), (1,), (37,), (4, 5)):
+        d = rng.standard_normal(lead + (dim - 1,)) * 10.0 ** rng.integers(-3, 4, lead + (dim - 1,))
+        assert _radius(d).tobytes() == np.linalg.norm(d, axis=-1).tobytes()
+        x = rng.uniform(-1.5, 1.5, lead + (dim,))
+        chi, grad = cut.value_and_grad(x)
+        ref_chi, ref_grad = full_stack_value_and_grad(cut, x)
+        assert chi.tobytes() == ref_chi.tobytes() and grad.tobytes() == ref_grad.tobytes()
+        assert cut.value(x).tobytes() == ref_chi.tobytes()
 
 
 def test_gauge_field_unitary_and_identity_inside(rng):

@@ -289,6 +289,102 @@ def test_segment_interpolation_accuracy():
     assert np.linalg.norm(pos - fine.endpoint) < 1e-10
 
 
+def _hermite_state(seg, si):
+    """The two-blend cubic Hermite formula of a curved segment's state, the
+    reference for its cached cubics: position from the samples and their
+    velocities, velocity from the velocities and the geodesic accelerations."""
+    sq = np.clip(np.atleast_1d(np.asarray(si, dtype=float)), seg.s[0], seg.s[-1])
+    idx = np.clip(np.searchsorted(seg.s, sq, side="right") - 1, 0, len(seg.s) - 2)
+    h = (seg.s[idx + 1] - seg.s[idx])[:, None]
+    t = (sq - seg.s[idx])[:, None] / h
+    basis = (2 * t**3 - 3 * t**2 + 1, t**3 - 2 * t**2 + t, -2 * t**3 + 3 * t**2, t**3 - t**2)
+
+    def blend(p, m):
+        return (basis[0] * p[idx] + basis[1] * m[idx] * h
+                + basis[2] * p[idx + 1] + basis[3] * m[idx + 1] * h)
+
+    acc = seg.metric.geodesic_acceleration(seg.x, seg.v)
+    return blend(seg.x, seg.v), blend(seg.v, acc)
+
+
+# the rays of a time-only warp (closed form) and of warps whose rays RK4 marches
+CURVED_RAYS = {
+    "time-only-warp": (warped_cosine(), [([1.0, 0.2, 0.1], [0.6, 0.8]),
+                                         ([2.5, -0.3, 0.4], [-1.0, 0.0])]),
+    "undeclared-warp": (warped_cosine(time_only=False), [([1.0, 0.2, 0.1], [0.6, 0.8]),
+                                                          ([0.0, 0.0, 0.0], [0.8, -0.6])]),
+    "g0-warp": (warped_spatial(), [([0.5, 0.3, -0.2], [0.0, 1.0]),
+                                   ([-0.4, 0.1, 0.6], [0.6, 0.8])]),
+}
+
+
+@pytest.mark.parametrize("case", CURVED_RAYS)
+def test_curved_state_matches_hermite_blends(rng, case):
+    # the cached per-cell cubics are the polynomials of the two Hermite blends,
+    # so state agrees with them to rounding wherever it is read: between
+    # samples, at samples, at both ends and within the 1e-9 clip beyond them
+    metric, rays = CURVED_RAYS[case]
+    x0s = np.array([x0 for x0, _ in rays])
+    v0s = np.array([null_vector(metric, x0, np.array(u)) for x0, (_, u) in zip(x0s, rays)])
+    for seg in integrate_geodesics(metric, x0s, v0s, 1.0, 0.05, s_min=-0.6):
+        assert not seg.truncated and len(seg.s) > 10
+        interior = rng.uniform(seg.s_min, seg.s_max, 300)
+        ends = [seg.s_min, seg.s_max, seg.s_min - 5e-10, seg.s_max + 5e-10]
+        for si in (interior, seg.s, np.array(ends)):
+            for got, want in zip(seg.state(si), _hermite_state(seg, si)):
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+        for si in (0.3217, seg.s_max):
+            for got, want in zip(seg.state(si), _hermite_state(seg, si)):
+                assert got.shape == (metric.dim,)
+                assert np.all(np.abs(got - want[0]) <= 1e-14 * np.maximum(1.0, np.abs(want[0])))
+        # a stored sample comes back with its bits
+        for got, want in zip(seg.state(seg.s), (seg.x, seg.v)):
+            assert np.array_equal(got, want)
+
+
+def test_curved_segment_evaluates_accelerations_once(monkeypatch):
+    metric = warped_spatial()
+    x0s = np.array([[0.5, 0.3, -0.2], [-0.4, 0.1, 0.6]])
+    v0s = np.array([null_vector(metric, x0, np.array([0.6, 0.8])) for x0 in x0s])
+    segments = integrate_geodesics(metric, x0s, v0s, 1.0, 0.05)
+    calls = []
+    acceleration = metric.geodesic_acceleration
+    monkeypatch.setattr(metric, "geodesic_acceleration",
+                        lambda x, v: calls.append(len(x)) or acceleration(x, v))
+    for seg in segments:
+        for si in (0.25, np.linspace(0.0, 1.0, 7), np.array([0.9, 0.1])):
+            seg.state(si)
+    assert calls == [len(seg.s) for seg in segments]
+
+
+def _expansion(constant, *freqs):
+    """A scalar expansion block in 2+1: the constant and one wave of amplitude 0.3 per freq."""
+    return {"dim": 3, "constant": constant,
+            "waves": [{"amp": 0.3, "freq": list(freq), "phase": 0} for freq in freqs]}
+
+
+@pytest.mark.parametrize("block", [
+    {"kind": "minkowski", "dim": 3},
+    {"kind": "cylinder"},
+    {"kind": "warped", "dim": 3, "beta_time_only": True, "beta": _expansion(1.0, (0.5, 0, 0))},
+    {"kind": "warped", "dim": 3, "beta": _expansion(1.0, (0.5, 0.2, 0))},
+    {"kind": "warped", "dim": 3, "beta": _expansion(1.0),
+     "g0_diag": [_expansion(1.5), _expansion(0.5, (0, 1, 0))]},
+], ids=["minkowski", "cylinder", "time-only-warp", "warp", "g0-warp"])
+def test_one_sample_segment_state_is_its_sample(block):
+    # a segment of zero length holds its start alone, and state reads it back
+    metric = metric_from_json(block)
+    x0 = np.array([0.4, 0.3, -0.2])[: metric.dim]
+    v0 = null_vector(metric, x0, np.array([0.6, 0.8])[: metric.dim - 1])
+    seg = integrate_geodesic(metric, x0, v0, 0.0)
+    assert len(seg.s) == 1
+    for si in (0.0, np.zeros(3)):
+        pos, vel = seg.state(si)
+        assert np.array_equal(pos, np.broadcast_to(x0, pos.shape))
+        assert np.array_equal(vel, np.broadcast_to(v0, vel.shape))
+
+
 def test_negative_parameter_range():
     m = warped()
     seg = integrate_geodesic(m, np.array([0.3, 0.0]), np.ones(2), 0.2, h=1e-3, s_min=-0.2)
